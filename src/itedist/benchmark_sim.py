@@ -29,12 +29,14 @@ from scipy.special import ndtr, ndtri
 from ._rng import derive_seed, derive_stream, parallel_map
 from .bootstrap_inference import (BootstrapConfig, BootstrapReplicates,
                                   IntervalResult, ReplicationError, _cdf_columns,
-                                  _constant_band, _quantile_columns, _rank_index,
-                                  _variable_band, draw_replicates,
-                                  percentile_interval)
+                                  _quantile_columns, _rank_index, ci_cdf,
+                                  ci_prob_positive, ci_quantile_and_iqr,
+                                  draw_replicates, ucb_cdf_constant,
+                                  ucb_cdf_variable, ucb_quantile_constant,
+                                  ucb_quantile_variable)
 from .counterfactual import pseudo_ites
 from .data_model import EstimabilityError, Sample, estimate_bounds
-from .empirical_dist import Grid, ecdf, iqr
+from .empirical_dist import Grid, ecdf
 
 
 @dataclass(frozen=True)
@@ -466,45 +468,34 @@ def _evaluate_target(target: StudyTarget, level: float,
                      point_sorted: np.ndarray, oracle: DgpOracle) -> tuple[bool, float]:
     """(covered, length) of one product on one generated sample."""
     alpha = 1.0 - level
-    if target.kind == "cdf-ci-naive":
+    kind, grid = target.kind, target.grid
+    if kind == "cdf-ci-naive":
         interval = naive_ci_cdf(point_sorted, target.v, alpha)
         return (interval.lo <= oracle.cdf(target.v) <= interval.hi, interval.length)
-    if target.kind == "cdf-ci":
-        stats = _cdf_columns(reps.sorted_values, np.array([target.v]))[:, 0]
-        lo, hi = percentile_interval(stats, alpha)
-        return (lo <= oracle.cdf(target.v) <= hi, hi - lo)
-    if target.kind == "quantile-ci":
-        stats = _quantile_columns(reps.sorted_values, [target.tau])[:, 0]
-        lo, hi = percentile_interval(stats, alpha)
-        return (lo <= oracle.quantile(target.tau) <= hi, hi - lo)
-    if target.kind == "iqr-ci":
-        cols = _quantile_columns(reps.sorted_values, [0.25, 0.75])
-        lo, hi = percentile_interval(cols[:, 1] - cols[:, 0], alpha)
-        return (lo <= oracle.iqr() <= hi, hi - lo)
-    if target.kind == "prob-positive-ci":
-        stats = 1.0 - _cdf_columns(reps.sorted_values, np.array([0.0]))[:, 0]
-        lo, hi = percentile_interval(stats, alpha)
-        truth = 1.0 - oracle.cdf(0.0)
-        return (lo <= truth <= hi, hi - lo)
-    grid = target.grid
-    if target.kind == "quantile-band":
-        center = _quantile_columns(point_sorted, grid.points)
-        boot = _quantile_columns(reps.sorted_values, grid.points)
-        truth = oracle.quantile(grid.points)
-        scale = iqr(point_sorted)
-    else:
-        center = _cdf_columns(point_sorted, grid.points)
-        boot = _cdf_columns(reps.sorted_values, grid.points)
+    if kind == "cdf-band-interpolated":
+        lo, hi = _interpolated_bp_band(_cdf_columns(reps.sorted_values, grid.points),
+                                       alpha)
         truth = oracle.cdf(grid.points)
-        scale = iqr(point_sorted)
-    if target.kind == "cdf-band-interpolated":
-        lo, hi = _interpolated_bp_band(boot, alpha)
         return (bool(np.all((lo <= truth) & (truth <= hi))), float((hi - lo).mean()))
-    if target.band == "constant":
-        band = _constant_band(target.kind, grid, center, boot, alpha, 0, 0)
+    if kind == "cdf-band":
+        product = ucb_cdf_constant if target.band == "constant" else ucb_cdf_variable
+        band = product(reps, alpha, grid)
+        return (band.covers(oracle.cdf(grid.points)), band.average_width)
+    if kind == "quantile-band":
+        product = (ucb_quantile_constant if target.band == "constant"
+                   else ucb_quantile_variable)
+        band = product(reps, alpha, grid)
+        return (band.covers(oracle.quantile(grid.points)), band.average_width)
+    if kind == "cdf-ci":
+        interval, truth = ci_cdf(reps, alpha, target.v), oracle.cdf(target.v)
+    elif kind == "quantile-ci":
+        interval = ci_quantile_and_iqr(reps, alpha, target.tau)[0]
+        truth = oracle.quantile(target.tau)
+    elif kind == "iqr-ci":
+        interval, truth = ci_quantile_and_iqr(reps, alpha, 0.5)[1], oracle.iqr()
     else:
-        band = _variable_band(target.kind, grid, center, boot, alpha, scale, 0, 0)
-    return (band.covers(truth), band.average_width)
+        interval, truth = ci_prob_positive(reps, alpha), 1.0 - oracle.cdf(0.0)
+    return (interval.lo <= truth <= interval.hi, interval.length)
 
 
 def run_coverage(targets, n: int, reps: int, levels, b: int, seed: int,
@@ -530,7 +521,7 @@ def run_coverage(targets, n: int, reps: int, levels, b: int, seed: int,
         try:
             if any_bootstrap:
                 cfg = BootstrapConfig(n_replications=b, seed=derive_seed(seed, k, 1),
-                                      alpha=1.0 - max(levels), max_redraws=max_redraws)
+                                      max_redraws=max_redraws)
                 rep_set = draw_replicates(gen.sample, bounds, cfg)
                 point_sorted = rep_set.point_sorted
             else:

@@ -1,11 +1,14 @@
 """Nonparametric bootstrap engine and inference products.
 
-Every product resamples rows with replacement, recomputes the leave-one-out
-pseudo treatment effects on the resample (holding the original outcome
-bounds fixed), and reads off percentile intervals or sup-statistic critical
-values from the replication order statistics.  Interval endpoints are exact
-order statistics at ranks ``ceil(B * alpha / 2)`` and
-``ceil(B * (1 - alpha / 2))``; no interpolation anywhere.
+Only ``draw_replicates`` and ``two_group_quantile_replicates`` resample: they
+draw rows with replacement, recompute the leave-one-out pseudo treatment
+effects on each resample (holding the original outcome bounds fixed), and
+keep the sorted effects or per-level quantiles of every replication.  Every
+inference product is a pure function of one such replicate set and the
+level and grid it is asked for: it reads off percentile intervals or
+sup-statistic critical values from the replication order statistics.
+Interval endpoints are exact order statistics at ranks ``ceil(B * alpha / 2)``
+and ``ceil(B * (1 - alpha / 2))``; no interpolation anywhere.
 
 Replications are independent and keyed by (seed, replication, group,
 attempt), so results are bit-identical regardless of worker count.
@@ -47,19 +50,15 @@ class ReplicationError(RuntimeError):
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Replication count, stream seed, level, redraw cap, evaluation grid."""
+    """Replication count, stream seed and redraw cap: what drawing needs."""
 
     n_replications: int
     seed: int
-    alpha: float = 0.05
     max_redraws: int = 100
-    grid: Grid | None = None
 
     def __post_init__(self):
         if self.n_replications < 2:
             raise ValueError(f"need at least 2 replications, got {self.n_replications}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.max_redraws < 0:
             raise ValueError(f"max_redraws must be >= 0, got {self.max_redraws}")
 
@@ -150,8 +149,14 @@ def _rank_index(b: int, p: float) -> int:
     return math.ceil(b * p) - 1
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def percentile_interval(values, alpha: float) -> tuple[float, float]:
     """Percentile interval endpoints from replication order statistics."""
+    _check_alpha(alpha)
     values = np.sort(np.asarray(values, dtype=np.float64))
     b = len(values)
     return (float(values[_rank_index(b, alpha / 2.0)]),
@@ -246,19 +251,11 @@ def _cdf_columns(sorted_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out if sorted_rows.ndim > 1 else out[0]
 
 
-def _need(replicates, sample, bounds, cfg, threads=1) -> BootstrapReplicates:
-    if replicates is None:
-        return draw_replicates(sample, bounds, cfg, threads=threads)
-    return replicates
-
-
 # ---------------------------------------------------------------------------
 # Pointwise percentile confidence intervals
 # ---------------------------------------------------------------------------
 
-def ci_cdf(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, v: float, *,
-           replicates: BootstrapReplicates | None = None,
-           threads: int = 1) -> IntervalResult:
+def ci_cdf(reps: BootstrapReplicates, alpha: float, v: float) -> IntervalResult:
     """Percentile interval for the cumulative probability at ``v``.
 
     Each replication contributes its resampled empirical CDF value, so the
@@ -266,37 +263,30 @@ def ci_cdf(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, v: float, *,
     """
     if not math.isfinite(v):
         raise ValueError(f"evaluation point must be finite, got {v}")
-    reps = _need(replicates, sample, bounds, cfg, threads)
     stats = _cdf_columns(reps.sorted_values, np.array([float(v)]))[:, 0]
-    lo, hi = percentile_interval(stats, cfg.alpha)
+    lo, hi = percentile_interval(stats, alpha)
     return IntervalResult(target="cdf", at=float(v), lo=lo, hi=hi,
                           b_used=reps.b_used, redraws=reps.redraws)
 
 
-def ci_quantile_and_iqr(sample: Sample, bounds: Bounds, cfg: BootstrapConfig,
-                        tau: float, *,
-                        replicates: BootstrapReplicates | None = None,
-                        threads: int = 1) -> tuple[IntervalResult, IntervalResult]:
+def ci_quantile_and_iqr(reps: BootstrapReplicates, alpha: float,
+                        tau: float) -> tuple[IntervalResult, IntervalResult]:
     """Percentile intervals for the ``tau`` quantile and the IQR."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {tau}")
-    reps = _need(replicates, sample, bounds, cfg, threads)
     cols = _quantile_columns(reps.sorted_values, [tau, 0.25, 0.75])
-    q_lo, q_hi = percentile_interval(cols[:, 0], cfg.alpha)
-    i_lo, i_hi = percentile_interval(cols[:, 2] - cols[:, 1], cfg.alpha)
+    q_lo, q_hi = percentile_interval(cols[:, 0], alpha)
+    i_lo, i_hi = percentile_interval(cols[:, 2] - cols[:, 1], alpha)
     return (IntervalResult(target="quantile", at=float(tau), lo=q_lo, hi=q_hi,
                            b_used=reps.b_used, redraws=reps.redraws),
             IntervalResult(target="iqr", lo=i_lo, hi=i_hi,
                            b_used=reps.b_used, redraws=reps.redraws))
 
 
-def ci_prob_positive(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
-                     replicates: BootstrapReplicates | None = None,
-                     threads: int = 1) -> IntervalResult:
+def ci_prob_positive(reps: BootstrapReplicates, alpha: float) -> IntervalResult:
     """Percentile interval for the share of strictly positive effects."""
-    reps = _need(replicates, sample, bounds, cfg, threads)
     stats = 1.0 - _cdf_columns(reps.sorted_values, np.array([0.0]))[:, 0]
-    lo, hi = percentile_interval(stats, cfg.alpha)
+    lo, hi = percentile_interval(stats, alpha)
     return IntervalResult(target="prob-positive", lo=lo, hi=hi,
                           b_used=reps.b_used, redraws=reps.redraws)
 
@@ -305,11 +295,16 @@ def ci_prob_positive(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
 # Uniform confidence bands
 # ---------------------------------------------------------------------------
 
+def _critical_value(draws: np.ndarray, alpha: float) -> float:
+    """The ``ceil(B(1-alpha))``-th order statistic of the sup-statistic draws."""
+    _check_alpha(alpha)
+    return float(np.sort(draws)[_rank_index(len(draws), 1.0 - alpha)])
+
+
 def _constant_band(target: str, grid: Grid, center: np.ndarray,
                    boot: np.ndarray, alpha: float, b_used: int,
                    redraws: int) -> BandResult:
-    stats = np.max(np.abs(boot - center[None, :]), axis=1)
-    crit = float(np.sort(stats)[_rank_index(len(stats), 1.0 - alpha)])
+    crit = _critical_value(np.max(np.abs(boot - center[None, :]), axis=1), alpha)
     return BandResult(target=target, grid=grid, center=center,
                       half_width=np.full(grid.size, crit),
                       kind="two-sided-constant", critical_value=crit,
@@ -336,74 +331,74 @@ def _variable_band(target: str, grid: Grid, center: np.ndarray,
                    boot: np.ndarray, alpha: float, scale_reference: float,
                    b_used: int, redraws: int) -> BandResult:
     stud = _studentizers(boot, scale_reference)
-    stats = np.max(np.abs(boot - center[None, :]) / stud[None, :], axis=1)
-    crit = float(np.sort(stats)[_rank_index(len(stats), 1.0 - alpha)])
+    crit = _critical_value(
+        np.max(np.abs(boot - center[None, :]) / stud[None, :], axis=1), alpha)
     return BandResult(target=target, grid=grid, center=center,
                       half_width=crit * stud, kind="two-sided-variable",
                       critical_value=crit, b_used=b_used, redraws=redraws)
 
 
-def _require_grid(cfg: BootstrapConfig, kind: str) -> Grid:
-    if cfg.grid is None or cfg.grid.kind != kind:
-        raise ValueError(f"this product needs a grid of kind {kind!r} in the config")
-    return cfg.grid
+def _check_grid(grid: Grid, kind: str) -> None:
+    if grid.kind != kind:
+        raise ValueError(f"this product needs a grid of kind {kind!r}, "
+                         f"got {grid.kind!r}")
 
 
-def ucb_cdf_constant(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
-                     replicates: BootstrapReplicates | None = None,
-                     threads: int = 1) -> BandResult:
+def _cdf_curves(reps: BootstrapReplicates,
+                grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Original and per-replication empirical CDFs over a value grid."""
+    _check_grid(grid, "values")
+    return (_cdf_columns(reps.point_sorted, grid.points),
+            _cdf_columns(reps.sorted_values, grid.points))
+
+
+def _quantile_curves(reps: BootstrapReplicates,
+                     grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Original and per-replication empirical quantiles over a level grid."""
+    _check_grid(grid, "levels")
+    return (_quantile_columns(reps.point_sorted, grid.points),
+            _quantile_columns(reps.sorted_values, grid.points))
+
+
+def ucb_cdf_constant(reps: BootstrapReplicates, alpha: float,
+                     grid: Grid) -> BandResult:
     """Constant-width uniform band for the CDF over the value grid.
 
     The radius is the ``ceil(B(1-alpha))``-th order statistic of the maximal
     absolute deviation between the resampled and original CDF over the grid.
     The stored band is unclipped; display layers may clip to [0, 1].
     """
-    grid = _require_grid(cfg, "values")
-    reps = _need(replicates, sample, bounds, cfg, threads)
-    center = _cdf_columns(reps.point_sorted, grid.points)
-    boot = _cdf_columns(reps.sorted_values, grid.points)
-    return _constant_band("cdf", grid, center, boot, cfg.alpha,
+    center, boot = _cdf_curves(reps, grid)
+    return _constant_band("cdf", grid, center, boot, alpha,
                           reps.b_used, reps.redraws)
 
 
-def ucb_cdf_variable(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
-                     replicates: BootstrapReplicates | None = None,
-                     threads: int = 1) -> BandResult:
+def ucb_cdf_variable(reps: BootstrapReplicates, alpha: float,
+                     grid: Grid) -> BandResult:
     """Variable-width uniform band for the CDF over the value grid."""
-    grid = _require_grid(cfg, "values")
-    reps = _need(replicates, sample, bounds, cfg, threads)
-    center = _cdf_columns(reps.point_sorted, grid.points)
-    boot = _cdf_columns(reps.sorted_values, grid.points)
-    return _variable_band("cdf", grid, center, boot, cfg.alpha,
+    center, boot = _cdf_curves(reps, grid)
+    return _variable_band("cdf", grid, center, boot, alpha,
                           iqr(reps.point_sorted), reps.b_used, reps.redraws)
 
 
-def ucb_quantile_constant(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
-                          replicates: BootstrapReplicates | None = None,
-                          threads: int = 1) -> BandResult:
+def ucb_quantile_constant(reps: BootstrapReplicates, alpha: float,
+                          grid: Grid) -> BandResult:
     """Constant-width uniform band for the quantile function over the level grid."""
-    grid = _require_grid(cfg, "levels")
-    reps = _need(replicates, sample, bounds, cfg, threads)
-    center = _quantile_columns(reps.point_sorted, grid.points)
-    boot = _quantile_columns(reps.sorted_values, grid.points)
-    return _constant_band("quantile", grid, center, boot, cfg.alpha,
+    center, boot = _quantile_curves(reps, grid)
+    return _constant_band("quantile", grid, center, boot, alpha,
                           reps.b_used, reps.redraws)
 
 
-def ucb_quantile_variable(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
-                          replicates: BootstrapReplicates | None = None,
-                          threads: int = 1) -> BandResult:
+def ucb_quantile_variable(reps: BootstrapReplicates, alpha: float,
+                          grid: Grid) -> BandResult:
     """Variable-width uniform band for the quantile function.
 
     At each level the deviation is studentized by the bootstrap interquartile
     spread over the normal quartile spread, so the band narrows where the
     quantile is estimated more precisely.
     """
-    grid = _require_grid(cfg, "levels")
-    reps = _need(replicates, sample, bounds, cfg, threads)
-    center = _quantile_columns(reps.point_sorted, grid.points)
-    boot = _quantile_columns(reps.sorted_values, grid.points)
-    return _variable_band("quantile", grid, center, boot, cfg.alpha,
+    center, boot = _quantile_curves(reps, grid)
+    return _variable_band("quantile", grid, center, boot, alpha,
                           iqr(reps.point_sorted), reps.b_used, reps.redraws)
 
 
@@ -494,69 +489,53 @@ def two_group_quantile_replicates(sample0: Sample, sample1: Sample,
         shift=float(ite_shift))
 
 
-def _need_two_group(replicates, sample0, sample1, bounds0, bounds1, cfg, levels,
-                    couple_streams, ite_shift, threads) -> TwoGroupReplicates:
-    if replicates is None:
-        return two_group_quantile_replicates(
-            sample0, sample1, bounds0, bounds1, cfg, levels,
-            couple_streams=couple_streams, ite_shift=ite_shift, threads=threads)
-    return replicates
-
-
-def compare_quantiles(sample0: Sample, sample1: Sample, bounds0: Bounds,
-                      bounds1: Bounds, cfg: BootstrapConfig, tau: float, *,
-                      replicates: TwoGroupReplicates | None = None,
-                      couple_streams: bool = False, ite_shift: float = 0.0,
-                      threads: int = 1) -> tuple[IntervalResult, IntervalResult]:
+def compare_quantiles(reps: TwoGroupReplicates, alpha: float,
+                      tau: float) -> tuple[IntervalResult, IntervalResult]:
     """Percentile intervals for the group-1 minus group-0 quantile difference
     at ``tau`` and for the IQR difference.
 
-    The two samples must come from disjoint group selections; callers are
-    responsible for that check (the CLI enforces it).
+    ``reps`` must have evaluated ``tau``, 0.25 and 0.75.  The two samples must
+    come from disjoint group selections; callers are responsible for that
+    check (the CLI enforces it).
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {tau}")
-    levels = np.unique(np.array([tau, 0.25, 0.75], dtype=np.float64))
-    reps = _need_two_group(replicates, sample0, sample1, bounds0, bounds1, cfg,
-                           levels, couple_streams, ite_shift, threads)
     delta_boot = reps.delta_boot
-    d_lo, d_hi = percentile_interval(delta_boot[:, reps.level_index(tau)], cfg.alpha)
+    d_lo, d_hi = percentile_interval(delta_boot[:, reps.level_index(tau)], alpha)
     spread = (delta_boot[:, reps.level_index(0.75)]
               - delta_boot[:, reps.level_index(0.25)])
-    s_lo, s_hi = percentile_interval(spread, cfg.alpha)
+    s_lo, s_hi = percentile_interval(spread, alpha)
     return (IntervalResult(target="quantile-difference", at=float(tau), lo=d_lo,
                            hi=d_hi, b_used=reps.b_used, redraws=reps.total_redraws),
             IntervalResult(target="iqr-difference", lo=s_lo, hi=s_hi,
                            b_used=reps.b_used, redraws=reps.total_redraws))
 
 
-def ucb_quantile_difference(sample0: Sample, sample1: Sample, bounds0: Bounds,
-                            bounds1: Bounds, cfg: BootstrapConfig, *,
-                            band: str = "constant",
-                            replicates: TwoGroupReplicates | None = None,
-                            couple_streams: bool = False, ite_shift: float = 0.0,
-                            threads: int = 1) -> BandResult:
+def _difference_curves(reps: TwoGroupReplicates,
+                       grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Quantile difference and its replications over a level grid."""
+    _check_grid(grid, "levels")
+    idx = [reps.level_index(t) for t in grid.points]
+    return reps.delta[idx], reps.delta_boot[:, idx]
+
+
+def ucb_quantile_difference(reps: TwoGroupReplicates, alpha: float, grid: Grid, *,
+                            band: str = "constant") -> BandResult:
     """Uniform band for the quantile-difference function over the level grid.
 
     ``band`` selects ``constant`` or ``variable`` width, or
     ``one-sided-lower`` for the dominance-style band ``[delta - crit, inf)``.
     """
-    grid = _require_grid(cfg, "levels")
-    reps = _need_two_group(replicates, sample0, sample1, bounds0, bounds1, cfg,
-                           grid.points, couple_streams, ite_shift, threads)
-    idx = [reps.level_index(t) for t in grid.points]
-    center = reps.delta[idx]
-    boot = reps.delta_boot[:, idx]
+    center, boot = _difference_curves(reps, grid)
     if band == "constant":
         return _constant_band("quantile-difference", grid, center, boot,
-                              cfg.alpha, reps.b_used, reps.total_redraws)
+                              alpha, reps.b_used, reps.total_redraws)
     if band == "variable":
         return _variable_band("quantile-difference", grid, center, boot,
-                              cfg.alpha, max(reps.iqr0, reps.iqr1),
+                              alpha, max(reps.iqr0, reps.iqr1),
                               reps.b_used, reps.total_redraws)
     if band == "one-sided-lower":
-        stats = np.max(boot - center[None, :], axis=1)
-        crit = float(np.sort(stats)[_rank_index(len(stats), 1.0 - cfg.alpha)])
+        crit = _critical_value(np.max(boot - center[None, :], axis=1), alpha)
         return BandResult(target="quantile-difference", grid=grid, center=center,
                           half_width=np.full(grid.size, max(crit, 0.0)),
                           kind="one-sided-lower", critical_value=crit,
@@ -567,11 +546,8 @@ def ucb_quantile_difference(sample0: Sample, sample1: Sample, bounds0: Bounds,
 _HYPOTHESES = ("equality", "location-shift", "dominance")
 
 
-def test_distributions(sample0: Sample, sample1: Sample, bounds0: Bounds,
-                       bounds1: Bounds, cfg: BootstrapConfig, hypothesis: str, *,
-                       replicates: TwoGroupReplicates | None = None,
-                       couple_streams: bool = False, ite_shift: float = 0.0,
-                       threads: int = 1) -> TestResult:
+def test_distributions(reps: TwoGroupReplicates, alpha: float, grid: Grid,
+                       hypothesis: str) -> TestResult:
     """Sup-statistic bootstrap test comparing the two effect distributions.
 
     ``equality``       both quantile functions coincide on the grid range;
@@ -585,12 +561,7 @@ def test_distributions(sample0: Sample, sample1: Sample, bounds0: Bounds,
     """
     if hypothesis not in _HYPOTHESES:
         raise ValueError(f"hypothesis must be one of {_HYPOTHESES}, got {hypothesis!r}")
-    grid = _require_grid(cfg, "levels")
-    reps = _need_two_group(replicates, sample0, sample1, bounds0, bounds1, cfg,
-                           grid.points, couple_streams, ite_shift, threads)
-    idx = [reps.level_index(t) for t in grid.points]
-    delta = reps.delta[idx]
-    boot = reps.delta_boot[:, idx]
+    delta, boot = _difference_curves(reps, grid)
     if hypothesis == "equality":
         statistic = float(np.max(np.abs(delta)))
         draws = np.max(np.abs(boot - delta[None, :]), axis=1)
@@ -602,8 +573,8 @@ def test_distributions(sample0: Sample, sample1: Sample, bounds0: Bounds,
     else:
         statistic = float(np.max(delta))
         draws = np.max(boot - delta[None, :], axis=1)
-    critical = float(np.sort(draws)[_rank_index(len(draws), 1.0 - cfg.alpha)])
+    critical = _critical_value(draws, alpha)
     return TestResult(hypothesis=hypothesis, statistic=statistic,
                       critical_value=critical, reject=statistic > critical,
-                      alpha=cfg.alpha, b_used=reps.b_used,
+                      alpha=alpha, b_used=reps.b_used,
                       redraws=reps.total_redraws)

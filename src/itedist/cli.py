@@ -17,7 +17,6 @@ go to files only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -106,6 +105,13 @@ _COERCERS = {
 }
 
 
+def _coerce(key: str, value):
+    try:
+        return _COERCERS[key](value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--{key}: cannot use {value!r}: {exc}") from None
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
     resolved = dict(defaults)
@@ -123,11 +129,11 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 continue
             if key not in resolved:
                 raise ConfigError(f"unknown config key {key!r}")
-            resolved[key] = None if value is None else _COERCERS[key](value)
+            resolved[key] = None if value is None else _coerce(key, value)
     for key in defaults:
         flag_value = getattr(args, key.replace("-", "_"), None)
         if flag_value is not None:
-            resolved[key] = _COERCERS[key](flag_value)
+            resolved[key] = _coerce(key, flag_value)
     return resolved
 
 
@@ -173,6 +179,13 @@ def _repro_block(command: str, resolved: dict) -> dict:
     """
     return {"command": command,
             **{k: v for k, v in resolved.items() if k != "output"}}
+
+
+def _check_output_dir(output: str) -> None:
+    """Reject an output path whose directory is missing before any compute."""
+    parent = Path(output).parent
+    if not parent.is_dir():
+        raise FileNotFoundError(f"output directory {str(parent)!r} does not exist")
 
 
 def _write_document(document: ReportDocument, resolved: dict) -> None:
@@ -225,9 +238,10 @@ def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
     _warn_estimability(sample, "analyze")
     bounds = estimate_bounds(sample)
     cfg = BootstrapConfig(n_replications=resolved["bootstrap"], seed=resolved["seed"],
-                          alpha=resolved["alpha"], max_redraws=resolved["max-redraws"])
+                          max_redraws=resolved["max-redraws"])
     replicates = draw_replicates(sample, bounds, cfg, threads=threads)
     values = replicates.point_sorted
+    alpha = resolved["alpha"]
 
     document = ReportDocument(
         command="analyze", package_version=__version__, seed=resolved["seed"],
@@ -239,40 +253,33 @@ def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
     wanted = resolved["report"]
     if "prob-positive" in wanted:
         document.point_estimates["prob_positive"] = prob_positive(values)
-        document.add_interval(ci_prob_positive(sample, bounds, cfg,
-                                               replicates=replicates))
+        document.add_interval(ci_prob_positive(replicates, alpha))
     if "quantile" in wanted:
         for tau in resolved["tau"]:
             document.point_estimates[f"quantile@{tau:g}"] = quantile(values, tau)
-            q_int, _ = ci_quantile_and_iqr(sample, bounds, cfg, tau,
-                                           replicates=replicates)
+            q_int, _ = ci_quantile_and_iqr(replicates, alpha, tau)
             document.add_interval(q_int)
     if "iqr" in wanted:
         document.point_estimates["iqr"] = iqr(values)
-        _, iqr_int = ci_quantile_and_iqr(sample, bounds, cfg, 0.5,
-                                         replicates=replicates)
+        _, iqr_int = ci_quantile_and_iqr(replicates, alpha, 0.5)
         document.add_interval(iqr_int)
     if "cdf" in wanted:
         for v in resolved["v"]:
             document.point_estimates[f"cdf@{v:g}"] = float(
                 np.searchsorted(values, v, side="right") / len(values))
-            document.add_interval(ci_cdf(sample, bounds, cfg, v,
-                                         replicates=replicates))
+            document.add_interval(ci_cdf(replicates, alpha, v))
     if "bands" in wanted:
         tau_grid = make_grid("levels", *resolved["tau-range"], resolved["grid-size"])
-        band_cfg = dataclasses.replace(cfg, grid=tau_grid)
         quantile_band = (ucb_quantile_constant if resolved["band"] == "constant"
                          else ucb_quantile_variable)
-        document.add_band(quantile_band(sample, bounds, band_cfg,
-                                        replicates=replicates))
+        document.add_band(quantile_band(replicates, alpha, tau_grid))
         if resolved["v-range"] is not None:
             value_grid = make_grid("values", *resolved["v-range"], resolved["grid-size"])
         else:
             value_grid = default_value_grid(values, resolved["grid-size"])
-        band_cfg = dataclasses.replace(cfg, grid=value_grid)
         cdf_band = (ucb_cdf_constant if resolved["band"] == "constant"
                     else ucb_cdf_variable)
-        document.add_band(cdf_band(sample, bounds, band_cfg, replicates=replicates))
+        document.add_band(cdf_band(replicates, alpha, value_grid))
     return document
 
 
@@ -315,8 +322,7 @@ def cmd_compare(resolved: dict, threads: int) -> ReportDocument:
     levels = np.unique(np.concatenate((grid.points, np.array(taus),
                                        np.array([0.25, 0.75]))))
     cfg = BootstrapConfig(n_replications=resolved["bootstrap"], seed=resolved["seed"],
-                          alpha=resolved["alpha"], max_redraws=resolved["max-redraws"],
-                          grid=grid)
+                          max_redraws=resolved["max-redraws"])
     replicates = two_group_quantile_replicates(
         sample0, sample1, bounds0, bounds1, cfg, levels, threads=threads)
 
@@ -329,10 +335,10 @@ def cmd_compare(resolved: dict, threads: int) -> ReportDocument:
     document.point_estimates["n_group0"] = sample0.n
     document.point_estimates["n_group1"] = sample1.n
 
+    alpha = resolved["alpha"]
     iqr_added = False
     for tau in taus:
-        d_int, iqr_int = compare_quantiles(sample0, sample1, bounds0, bounds1,
-                                           cfg, tau, replicates=replicates)
+        d_int, iqr_int = compare_quantiles(replicates, alpha, tau)
         idx = replicates.level_index(tau)
         document.point_estimates[f"quantile_difference@{tau:g}"] = float(
             replicates.delta[idx])
@@ -341,13 +347,10 @@ def cmd_compare(resolved: dict, threads: int) -> ReportDocument:
             document.add_interval(iqr_int)
             iqr_added = True
 
-    document.add_band(ucb_quantile_difference(
-        sample0, sample1, bounds0, bounds1, cfg, band=resolved["band"],
-        replicates=replicates))
+    document.add_band(ucb_quantile_difference(replicates, alpha, grid,
+                                              band=resolved["band"]))
     for hypothesis in ("equality", "location-shift", "dominance"):
-        document.add_test(test_distributions(
-            sample0, sample1, bounds0, bounds1, cfg, hypothesis,
-            replicates=replicates))
+        document.add_test(test_distributions(replicates, alpha, grid, hypothesis))
     return document
 
 
@@ -397,9 +400,10 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
         raise ConfigError(f"study must be one of {_STUDIES}, got {resolved['study']!r}")
     if resolved["reps"] < 1:
         raise ConfigError(f"reps must be >= 1, got {resolved['reps']}")
-    for level in resolved["levels"]:
-        if not 0.0 < level < 1.0:
-            raise ConfigError(f"levels must lie in (0, 1), got {level}")
+    for key in ("levels", "tau"):
+        for value in resolved[key]:
+            if not 0.0 < value < 1.0:
+                raise ConfigError(f"{key} must lie in (0, 1), got {value}")
 
     output = Path(resolved["output"])
     if resolved["study"] == "figure1":
@@ -569,6 +573,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        if resolved["output"]:
+            _check_output_dir(resolved["output"])
         if command == "analyze":
             document = cmd_analyze(resolved, args.threads)
             _write_document(document, resolved)
@@ -591,6 +597,9 @@ def main(argv=None) -> int:
         return 1
     except ReplicationError as exc:
         sys.stderr.write(error_report(command, "replication", str(exc)))
+        return 1
+    except OSError as exc:
+        sys.stderr.write(error_report(command, "io", str(exc)))
         return 1
     logger.info("%s finished in %.2fs", command, time.perf_counter() - started)
     return 0

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from itedist import (BootstrapConfig, Sample, StudyTarget, build_context,
-                     ci_quantile_and_iqr, ecdf, estimate_bounds,
+                     ci_quantile_and_iqr, draw_replicates, ecdf, estimate_bounds,
                      gaussian_diagnostic, generate, make_grid,
                      minimize_objective, objective_value, percentile_interval,
                      pseudo_ites, quantile, quantile_variance_gap, run_coverage,
-                     theory_variance)
+                     theory_variance, two_group_quantile_replicates)
 from itedist import test_distributions as distribution_test
 from itedist._rng import derive_seed, derive_stream
 from itedist.cli import main as cli_main
@@ -164,9 +164,11 @@ def test_criterion_3_affine_equivariance():
         vec1 = pseudo_ites(mapped, estimate_bounds(mapped))
         effects_exact &= bool(np.array_equal(vec1.values, 2.0 * vec0.values))
         cfg = BootstrapConfig(n_replications=150, seed=derive_seed(3003, rep))
+        reps0 = draw_replicates(base, estimate_bounds(base), cfg)
+        reps1 = draw_replicates(mapped, estimate_bounds(mapped), cfg)
         for tau in (0.25, 0.5, 0.75):
-            q0, i0 = ci_quantile_and_iqr(base, estimate_bounds(base), cfg, tau)
-            q1, i1 = ci_quantile_and_iqr(mapped, estimate_bounds(mapped), cfg, tau)
+            q0, i0 = ci_quantile_and_iqr(reps0, 0.05, tau)
+            q1, i1 = ci_quantile_and_iqr(reps1, 0.05, tau)
             ci_exact &= (q1.lo == 2.0 * q0.lo and q1.hi == 2.0 * q0.hi)
             ci_exact &= (i1.lo == 2.0 * i0.lo and i1.hi == 2.0 * i0.hi)
 
@@ -181,14 +183,17 @@ def test_criterion_3_affine_equivariance():
         s1 = Sample(outcomes=quantize(g1.sample.outcomes),
                     treatments=g1.sample.treatments,
                     instruments=g1.sample.instruments, covariates=g1.sample.covariates)
-        cfg = BootstrapConfig(n_replications=120, seed=derive_seed(3103, rep),
-                              grid=grid)
-        base = distribution_test(s0, s1, estimate_bounds(s0), estimate_bounds(s1),
-                                 cfg, "location-shift")
-        moved = distribution_test(transformed(s0), transformed(s1),
-                                  estimate_bounds(transformed(s0)),
-                                  estimate_bounds(transformed(s1)),
-                                  cfg, "location-shift")
+        cfg = BootstrapConfig(n_replications=120, seed=derive_seed(3103, rep))
+        base = distribution_test(
+            two_group_quantile_replicates(s0, s1, estimate_bounds(s0),
+                                          estimate_bounds(s1), cfg, grid.points),
+            0.05, grid, "location-shift")
+        moved = distribution_test(
+            two_group_quantile_replicates(transformed(s0), transformed(s1),
+                                          estimate_bounds(transformed(s0)),
+                                          estimate_bounds(transformed(s1)),
+                                          cfg, grid.points),
+            0.05, grid, "location-shift")
         decisions_stable &= (base.reject == moved.reject)
         decisions_stable &= (moved.statistic == 2.0 * base.statistic)
         decisions_stable &= (moved.critical_value == 2.0 * base.critical_value)
@@ -288,10 +293,11 @@ def test_criterion_9_two_group_null_tests():
     s = gen.sample
     bounds = estimate_bounds(s)
     grid = make_grid("levels", 0.2, 0.8, 7)
-    cfg = BootstrapConfig(n_replications=100, seed=42, grid=grid)
+    cfg = BootstrapConfig(n_replications=100, seed=42)
+    coupled = two_group_quantile_replicates(s, s, bounds, bounds, cfg, grid.points,
+                                            couple_streams=True)
     coupled_accept = all(
-        not distribution_test(s, s, bounds, bounds, cfg, hypothesis,
-                              couple_streams=True).reject
+        not distribution_test(coupled, 0.05, grid, hypothesis).reject
         for hypothesis in ("equality", "location-shift", "dominance"))
 
     runs, rejections = 200, 0
@@ -300,10 +306,11 @@ def test_criterion_9_two_group_null_tests():
         perm = derive_stream(2024, k, 99).permutation(population.n)
         s0 = population.take(np.sort(perm[:250]))
         s1 = population.take(np.sort(perm[250:]))
-        cfg_k = BootstrapConfig(n_replications=200, seed=derive_seed(2024, k, 1),
-                                alpha=0.05, grid=grid)
-        result = distribution_test(s0, s1, estimate_bounds(s0),
-                                   estimate_bounds(s1), cfg_k, "equality")
+        cfg_k = BootstrapConfig(n_replications=200, seed=derive_seed(2024, k, 1))
+        result = distribution_test(
+            two_group_quantile_replicates(s0, s1, estimate_bounds(s0),
+                                          estimate_bounds(s1), cfg_k, grid.points),
+            0.05, grid, "equality")
         rejections += result.reject
     rate = rejections / runs
     elapsed = time.perf_counter() - started

@@ -39,9 +39,35 @@ class TestConfig:
         with pytest.raises(ValueError):
             BootstrapConfig(n_replications=1, seed=0)
         with pytest.raises(ValueError):
-            BootstrapConfig(n_replications=10, seed=0, alpha=0.0)
-        with pytest.raises(ValueError):
             BootstrapConfig(n_replications=10, seed=0, max_redraws=-1)
+
+    def test_alpha_outside_unit_interval_rejected(self, bench_small, groups):
+        gen, bounds = bench_small
+        cfg = BootstrapConfig(n_replications=10, seed=0)
+        reps = draw_replicates(gen.sample, bounds, cfg)
+        values = make_grid("values", 0.5, 3.0, 5)
+        levels = make_grid("levels", 0.25, 0.75, 5)   # holds 0.25, 0.5, 0.75
+        s0, b0, s1, b1 = groups
+        two = two_group_quantile_replicates(s0, s1, b0, b1, cfg, levels.points)
+        products = [
+            lambda a: percentile_interval([1.0, 2.0, 3.0], a),
+            lambda a: ci_cdf(reps, a, 1.0),
+            lambda a: ci_quantile_and_iqr(reps, a, 0.5),
+            lambda a: ci_prob_positive(reps, a),
+            lambda a: ucb_cdf_constant(reps, a, values),
+            lambda a: ucb_cdf_variable(reps, a, values),
+            lambda a: ucb_quantile_constant(reps, a, levels),
+            lambda a: ucb_quantile_variable(reps, a, levels),
+            lambda a: compare_quantiles(two, a, 0.5),
+            *(lambda a, band=band: ucb_quantile_difference(two, a, levels, band=band)
+              for band in ("constant", "variable", "one-sided-lower")),
+            *(lambda a, h=h: distribution_test(two, a, levels, h)
+              for h in ("equality", "location-shift", "dominance")),
+        ]
+        for alpha in (0.0, 1.0, 1.5, -0.1):
+            for product in products:
+                with pytest.raises(ValueError, match="alpha"):
+                    product(alpha)
 
 
 class TestNormalQuartileSpread:
@@ -147,10 +173,10 @@ class TestIntervals:
     def test_degenerate_interval_on_constant_sample(self):
         s = constant_outcome_sample()
         bounds = estimate_bounds(s)
-        cfg = BootstrapConfig(n_replications=25, seed=1)
-        interval = ci_cdf(s, bounds, cfg, v=-0.5)
+        reps = draw_replicates(s, bounds, BootstrapConfig(n_replications=25, seed=1))
+        interval = ci_cdf(reps, 0.05, v=-0.5)
         assert interval.lo == interval.hi == 0.0
-        interval = ci_cdf(s, bounds, cfg, v=0.0)
+        interval = ci_cdf(reps, 0.05, v=0.0)
         assert interval.lo == interval.hi == 1.0   # all effects are exactly 0
 
     def test_cdf_interval_in_unit_range(self, bench_small):
@@ -158,15 +184,14 @@ class TestIntervals:
         cfg = BootstrapConfig(n_replications=40, seed=2)
         reps = draw_replicates(gen.sample, bounds, cfg)
         for v in (-1.0, 0.5, 2.0, 5.0):
-            out = ci_cdf(gen.sample, bounds, cfg, v, replicates=reps)
+            out = ci_cdf(reps, 0.05, v)
             assert 0.0 <= out.lo <= out.hi <= 1.0
 
     def test_endpoints_bit_identical_to_order_statistics(self, bench_small):
         gen, bounds = bench_small
-        cfg = BootstrapConfig(n_replications=37, seed=5, alpha=0.1)
+        cfg = BootstrapConfig(n_replications=37, seed=5)
         reps = draw_replicates(gen.sample, bounds, cfg)
-        q_int, iqr_int = ci_quantile_and_iqr(gen.sample, bounds, cfg, 0.5,
-                                             replicates=reps)
+        q_int, iqr_int = ci_quantile_and_iqr(reps, 0.1, 0.5)
         n = reps.n
         stats = np.sort(reps.sorted_values[:, math.ceil(0.5 * n) - 1])
         assert q_int.lo == stats[math.ceil(37 * 0.05) - 1]
@@ -176,18 +201,16 @@ class TestIntervals:
     def test_prob_positive_interval(self, bench_small):
         gen, bounds = bench_small
         cfg = BootstrapConfig(n_replications=30, seed=6)
-        out = ci_prob_positive(gen.sample, bounds, cfg)
+        out = ci_prob_positive(draw_replicates(gen.sample, bounds, cfg), 0.05)
         assert out.target == "prob-positive"
         assert 0.0 <= out.lo <= out.hi <= 1.0
 
     def test_alpha_nestedness_on_shared_replicates(self, bench_small):
         gen, bounds = bench_small
-        import dataclasses
-        cfg = BootstrapConfig(n_replications=60, seed=7, alpha=0.02)
+        cfg = BootstrapConfig(n_replications=60, seed=7)
         reps = draw_replicates(gen.sample, bounds, cfg)
-        wide = ci_cdf(gen.sample, bounds, cfg, 2.0, replicates=reps)
-        narrow = ci_cdf(gen.sample, bounds,
-                        dataclasses.replace(cfg, alpha=0.2), 2.0, replicates=reps)
+        wide = ci_cdf(reps, 0.02, 2.0)
+        narrow = ci_cdf(reps, 0.2, 2.0)
         assert wide.lo <= narrow.lo and narrow.hi <= wide.hi
 
 
@@ -204,28 +227,33 @@ class TestBands:
     def test_band_may_exceed_unit_interval_unclipped(self, bench_small):
         gen, bounds = bench_small
         grid = make_grid("values", 1e-3, 3.9, 25)
-        cfg = BootstrapConfig(n_replications=30, seed=8, grid=grid)
-        band = ucb_cdf_constant(gen.sample, bounds, cfg)
+        cfg = BootstrapConfig(n_replications=30, seed=8)
+        band = ucb_cdf_constant(draw_replicates(gen.sample, bounds, cfg), 0.05, grid)
         lower_edge = band.center - band.half_width
         upper_edge = band.center + band.half_width
         assert lower_edge.min() < 0.0 or upper_edge.max() > 1.0
 
     def test_requires_matching_grid_kind(self, bench_small):
         gen, bounds = bench_small
-        cfg = BootstrapConfig(n_replications=20, seed=9,
-                              grid=make_grid("levels", 0.2, 0.8, 5))
+        reps = draw_replicates(gen.sample, bounds,
+                               BootstrapConfig(n_replications=20, seed=9))
+        levels = make_grid("levels", 0.2, 0.8, 5)
+        values = make_grid("values", 0.5, 3.0, 5)
         with pytest.raises(ValueError, match="values"):
-            ucb_cdf_constant(gen.sample, bounds, cfg)
+            ucb_cdf_constant(reps, 0.05, levels)
+        with pytest.raises(ValueError, match="values"):
+            ucb_cdf_variable(reps, 0.05, levels)
         with pytest.raises(ValueError, match="levels"):
-            ucb_quantile_constant(gen.sample, bounds,
-                                  BootstrapConfig(n_replications=20, seed=9))
+            ucb_quantile_constant(reps, 0.05, values)
+        with pytest.raises(ValueError, match="levels"):
+            ucb_quantile_variable(reps, 0.05, values)
 
     def test_uniform_radius_dominates_pointwise(self, bench_small):
         gen, bounds = bench_small
         grid = make_grid("levels", 0.25, 0.75, 11)
-        cfg = BootstrapConfig(n_replications=50, seed=10, grid=grid)
+        cfg = BootstrapConfig(n_replications=50, seed=10)
         reps = draw_replicates(gen.sample, bounds, cfg)
-        band = ucb_quantile_constant(gen.sample, bounds, cfg, replicates=reps)
+        band = ucb_quantile_constant(reps, 0.05, grid)
         boot = reps.sorted_values[:, np.ceil(grid.points * reps.n).astype(int) - 1]
         point = reps.point_sorted[np.ceil(grid.points * reps.n).astype(int) - 1]
         for j in range(grid.size):
@@ -246,16 +274,16 @@ class TestBands:
         s = constant_outcome_sample()
         bounds = estimate_bounds(s)
         grid = make_grid("levels", 0.3, 0.7, 5)
-        cfg = BootstrapConfig(n_replications=20, seed=11, grid=grid)
+        reps = draw_replicates(s, bounds, BootstrapConfig(n_replications=20, seed=11))
         with pytest.warns(RuntimeWarning, match="floored"):
-            band = ucb_quantile_variable(s, bounds, cfg)
+            band = ucb_quantile_variable(reps, 0.05, grid)
         assert np.all(band.half_width == 0.0)
 
     def test_cdf_variable_band_runs(self, bench_small):
         gen, bounds = bench_small
         grid = make_grid("values", 0.1, 3.5, 20)
-        cfg = BootstrapConfig(n_replications=40, seed=12, grid=grid)
-        band = ucb_cdf_variable(gen.sample, bounds, cfg)
+        cfg = BootstrapConfig(n_replications=40, seed=12)
+        band = ucb_cdf_variable(draw_replicates(gen.sample, bounds, cfg), 0.05, grid)
         assert band.kind == "two-sided-variable"
         assert np.all(band.half_width >= 0.0)
 
@@ -268,9 +296,11 @@ class TestBands:
         shifted = Sample(outcomes=y + 3.0, treatments=base.treatments,
                          instruments=base.instruments, covariates=base.covariates)
         grid = make_grid("levels", 0.3, 0.7, 9)
-        cfg = BootstrapConfig(n_replications=40, seed=13, grid=grid)
-        band0 = ucb_quantile_constant(base, estimate_bounds(base), cfg)
-        band1 = ucb_quantile_constant(shifted, estimate_bounds(shifted), cfg)
+        cfg = BootstrapConfig(n_replications=40, seed=13)
+        band0 = ucb_quantile_constant(
+            draw_replicates(base, estimate_bounds(base), cfg), 0.05, grid)
+        band1 = ucb_quantile_constant(
+            draw_replicates(shifted, estimate_bounds(shifted), cfg), 0.05, grid)
         # effects are outcome differences, so a pure shift changes nothing
         assert np.array_equal(band0.center, band1.center)
         assert band0.critical_value == band1.critical_value
@@ -296,23 +326,24 @@ class TestTwoGroup:
     def test_coupled_identical_groups_zero(self, groups):
         s0, b0, _, _ = groups
         grid = make_grid("levels", 0.2, 0.8, 7)
-        cfg = BootstrapConfig(n_replications=30, seed=15, grid=grid)
+        cfg = BootstrapConfig(n_replications=30, seed=15)
         reps = two_group_quantile_replicates(s0, s0, b0, b0, cfg, grid.points,
                                              couple_streams=True)
         assert np.all(reps.delta == 0.0) and np.all(reps.delta_boot == 0.0)
-        d_int, s_int = compare_quantiles(s0, s0, b0, b0, cfg, 0.5,
-                                         couple_streams=True)
+        d_int, s_int = compare_quantiles(
+            two_group_quantile_replicates(s0, s0, b0, b0, cfg, [0.25, 0.5, 0.75],
+                                          couple_streams=True), 0.05, 0.5)
         assert (d_int.lo, d_int.hi) == (0.0, 0.0)
         assert (s_int.lo, s_int.hi) == (0.0, 0.0)
         for hypothesis in ("equality", "location-shift", "dominance"):
-            result = distribution_test(s0, s0, b0, b0, cfg, hypothesis,
-                                        replicates=reps)
+            result = distribution_test(reps, 0.05, grid, hypothesis)
             assert not result.reject     # 0 > 0 is false: accept
 
     def test_interval_targets(self, groups):
         s0, b0, s1, b1 = groups
         cfg = BootstrapConfig(n_replications=40, seed=16)
-        d_int, s_int = compare_quantiles(s0, s1, b0, b1, cfg, 0.5)
+        reps = two_group_quantile_replicates(s0, s1, b0, b1, cfg, [0.25, 0.5, 0.75])
+        d_int, s_int = compare_quantiles(reps, 0.05, 0.5)
         assert d_int.target == "quantile-difference" and d_int.at == 0.5
         assert s_int.target == "iqr-difference"
         assert d_int.lo <= d_int.hi
@@ -320,14 +351,18 @@ class TestTwoGroup:
     def test_band_kinds(self, groups):
         s0, b0, s1, b1 = groups
         grid = make_grid("levels", 0.2, 0.8, 7)
-        cfg = BootstrapConfig(n_replications=40, seed=17, grid=grid)
+        cfg = BootstrapConfig(n_replications=40, seed=17)
         reps = two_group_quantile_replicates(s0, s1, b0, b1, cfg, grid.points)
         for kind, expected in (("constant", "two-sided-constant"),
                                ("variable", "two-sided-variable"),
                                ("one-sided-lower", "one-sided-lower")):
-            band = ucb_quantile_difference(s0, s1, b0, b1, cfg, band=kind,
-                                           replicates=reps)
+            band = ucb_quantile_difference(reps, 0.05, grid, band=kind)
             assert band.kind == expected
+        values = make_grid("values", 0.2, 0.8, 7)
+        with pytest.raises(ValueError, match="levels"):
+            ucb_quantile_difference(reps, 0.05, values)
+        with pytest.raises(ValueError, match="levels"):
+            distribution_test(reps, 0.05, values, "equality")
 
     def test_outcome_shift_leaves_decisions_unchanged(self):
         # a location shift of the outcome cancels from every effect, so no
@@ -343,32 +378,33 @@ class TestTwoGroup:
         s0 = g0.sample
         b0 = estimate_bounds(s0)
         grid = make_grid("levels", 0.2, 0.8, 7)
-        cfg = BootstrapConfig(n_replications=30, seed=18, grid=grid)
+        cfg = BootstrapConfig(n_replications=30, seed=18)
+        base_reps = two_group_quantile_replicates(s0, s1, b0, estimate_bounds(s1),
+                                                  cfg, grid.points)
+        moved_reps = two_group_quantile_replicates(s0, s1_shift, b0,
+                                                   estimate_bounds(s1_shift),
+                                                   cfg, grid.points)
         for hypothesis in ("equality", "location-shift"):
-            base = distribution_test(s0, s1, b0, estimate_bounds(s1), cfg,
-                                      hypothesis)
-            moved = distribution_test(s0, s1_shift, b0,
-                                       estimate_bounds(s1_shift), cfg, hypothesis)
+            base = distribution_test(base_reps, 0.05, grid, hypothesis)
+            moved = distribution_test(moved_reps, 0.05, grid, hypothesis)
             assert base.statistic == moved.statistic
             assert base.critical_value == moved.critical_value
 
     def test_injected_shift_separates_hypotheses(self, groups):
         s0, b0, _, _ = groups
         grid = make_grid("levels", 0.2, 0.8, 7)
-        cfg = BootstrapConfig(n_replications=60, seed=19, grid=grid)
+        cfg = BootstrapConfig(n_replications=60, seed=19)
         reps = two_group_quantile_replicates(s0, s0, b0, b0, cfg, grid.points,
                                              ite_shift=2.5)
-        equality = distribution_test(s0, s0, b0, b0, cfg, "equality",
-                                      replicates=reps)
-        shift = distribution_test(s0, s0, b0, b0, cfg, "location-shift",
-                                   replicates=reps)
+        equality = distribution_test(reps, 0.05, grid, "equality")
+        shift = distribution_test(reps, 0.05, grid, "location-shift")
         assert equality.reject       # pure location alternative
         assert not shift.reject      # removed by centering
 
     def test_two_group_determinism_across_threads(self, groups):
         s0, b0, s1, b1 = groups
         grid = make_grid("levels", 0.3, 0.7, 5)
-        cfg = BootstrapConfig(n_replications=20, seed=20, grid=grid)
+        cfg = BootstrapConfig(n_replications=20, seed=20)
         a = two_group_quantile_replicates(s0, s1, b0, b1, cfg, grid.points,
                                           threads=1)
         b = two_group_quantile_replicates(s0, s1, b0, b1, cfg, grid.points,
@@ -379,13 +415,15 @@ class TestTwoGroup:
     def test_reject_flag_consistency(self, groups):
         s0, b0, s1, b1 = groups
         grid = make_grid("levels", 0.2, 0.8, 7)
-        cfg = BootstrapConfig(n_replications=30, seed=21, grid=grid)
-        result = distribution_test(s0, s1, b0, b1, cfg, "dominance")
+        cfg = BootstrapConfig(n_replications=30, seed=21)
+        reps = two_group_quantile_replicates(s0, s1, b0, b1, cfg, grid.points)
+        result = distribution_test(reps, 0.05, grid, "dominance")
         assert result.reject == (result.statistic > result.critical_value)
 
     def test_unknown_hypothesis(self, groups):
         s0, b0, s1, b1 = groups
-        cfg = BootstrapConfig(n_replications=20, seed=22,
-                              grid=make_grid("levels", 0.2, 0.8, 5))
+        grid = make_grid("levels", 0.2, 0.8, 5)
+        cfg = BootstrapConfig(n_replications=20, seed=22)
+        reps = two_group_quantile_replicates(s0, s1, b0, b1, cfg, grid.points)
         with pytest.raises(ValueError, match="hypothesis"):
-            distribution_test(s0, s1, b0, b1, cfg, "misc")
+            distribution_test(reps, 0.05, grid, "misc")

@@ -87,6 +87,35 @@ class TestAnalyze:
     def test_missing_input_flag(self, tmp_path):
         assert run_cli("analyze", "--output", str(tmp_path / "x.json")) == 2
 
+    def test_bad_flag_value_is_config_error(self, bench_csv, tmp_path, capsys):
+        code = run_cli("analyze", "--input", str(bench_csv), "--bootstrap", "abc",
+                       "--output", str(tmp_path / "x.json"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "bootstrap" in err["message"]
+
+    def test_missing_input_file_is_io_error(self, tmp_path, capsys):
+        code = run_cli("analyze", "--input", str(tmp_path / "absent.csv"),
+                       "--output", str(tmp_path / "x.json"))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io" and "absent.csv" in err["message"]
+
+    def test_missing_output_directory_rejected_before_ingest(
+            self, bench_csv, tmp_path, capsys, monkeypatch):
+        import itedist.cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the command ran past the output check")
+
+        monkeypatch.setattr(itedist.cli, "ingest_csv", unreachable)
+        monkeypatch.setattr(itedist.cli, "draw_replicates", unreachable)
+        code = run_cli("analyze", "--input", str(bench_csv), "--bootstrap", "10",
+                       "--output", str(tmp_path / "missing" / "x.json"))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io" and "missing" in err["message"]
+
     def test_ingest_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("y,d,z\n1.0,5,0\n")
@@ -205,6 +234,14 @@ class TestSimulate:
         assert run_cli("simulate", "table1", "--reps", "0",
                        "--output", str(tmp_path / "x.csv")) == 2
 
+    @pytest.mark.parametrize("tau", ["1.5", "0"])
+    def test_tau_outside_unit_interval_rejected(self, tau, tmp_path, capsys):
+        code = run_cli("simulate", "table3", "--tau", tau, "--n", "120",
+                       "--reps", "1", "--B", "10", "--output", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_study(self, tmp_path):
         assert run_cli("simulate", "tableX",
                        "--output", str(tmp_path / "x.csv")) == 2
@@ -265,6 +302,14 @@ class TestReproducibility:
         doc = json.loads(out.read_text())
         assert doc["metadata"]["seed"] == 2
         assert doc["reproducibility"]["bootstrap"] == 20
+
+    def test_bad_config_value_is_config_error(self, bench_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input": str(bench_csv), "bootstrap": "x"}))
+        assert run_cli("analyze", "--config", str(cfg_path),
+                       "--output", str(tmp_path / "x.json")) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "bootstrap" in err["message"]
 
     def test_unknown_config_key(self, bench_csv, tmp_path):
         cfg_path = tmp_path / "cfg.json"
