@@ -61,6 +61,8 @@ def _coerce_float(value):
 
 
 def _coerce_int(value):
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
     return int(value)
 
 
@@ -144,10 +146,27 @@ def _require(resolved: dict, *keys: str) -> None:
 
 
 def _validate_common(resolved: dict) -> None:
+    """Value checks shared by ``analyze`` and ``compare``, run before ingest."""
+    _require(resolved, "alpha", "bootstrap", "max-redraws", "tau", "tau-range",
+             "grid-size")
     if not 0.0 < resolved["alpha"] < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {resolved['alpha']}")
     if resolved["bootstrap"] < 2:
         raise ConfigError(f"bootstrap replications must be >= 2, got {resolved['bootstrap']}")
+    if resolved["max-redraws"] < 0:
+        raise ConfigError(f"max-redraws must be >= 0, got {resolved['max-redraws']}")
+    for tau in resolved["tau"]:
+        if not 0.0 < tau < 1.0:
+            raise ConfigError(f"tau must lie in (0, 1), got {tau}")
+    lo, hi = resolved["tau-range"]
+    if not 0.0 < lo < hi < 1.0:
+        raise ConfigError(f"tau-range must satisfy 0 < lo < hi < 1, got [{lo}, {hi}]")
+    if resolved.get("v-range") is not None:
+        lo, hi = resolved["v-range"]
+        if not lo < hi:
+            raise ConfigError(f"v-range must satisfy lo < hi, got [{lo}, {hi}]")
+    if resolved["grid-size"] < 2:
+        raise ConfigError(f"grid-size must be >= 2, got {resolved['grid-size']}")
 
 
 def _column_map(resolved: dict) -> ColumnMap:

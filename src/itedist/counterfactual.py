@@ -12,13 +12,34 @@ instrument arms of the cell:
 
 The objective is piecewise linear in ``t`` with kinks only at the outcomes of
 treatment-``d`` rows, so the exact global minimum over the closed support is
-attained on the kink set plus the endpoints.  We enumerate those candidates
-and return the smallest minimizer, which is deterministic and, for positive
-scale factors, affine equivariant.
+attained on the kink set plus the endpoints (the candidates).  We return the
+smallest minimizer, which is deterministic and, for positive scale factors,
+affine equivariant.
 
 The sample objective is a difference of convex piecewise-linear functions and
-need not be convex, so derivative or grid searches are unsafe; candidate
-enumeration is both exact and cheap.
+need not be convex, so derivative or grid searches are unsafe.  Scaled by the
+positive factor ``n_match * n_other``, it reads ``F(t) + K * t``, where
+
+* ``F(t) = n_other * s_match(t) - n_match * s_other(t)``, where ``s_*`` sums
+  ``|Y - t|`` over an arm's treatment-``d`` rows, depends only on those
+  outcomes and the leave-one-out arm sizes, so every query of one (cell,
+  target, instrument arm of the left-out row) shares it,
+* ``K = n_match * g_other - n_other * g_match``, where ``g_*`` sums an arm's
+  sign terms at the query's outcome, is an integer.
+
+The smallest minimizer of ``F(t) + K * t`` over the candidates is the leftmost
+vertex of the lower convex hull of ``F`` whose right edge has slope at least
+``-K``.  One hull (Andrew's monotone chain) and one binary search per query
+answer all ``q`` queries over ``m`` candidates in ``O((m + q) log m)``.
+
+The result is exact, not merely close.  Between consecutive candidates the
+slope of ``F`` is an integer, so only candidates where it strictly rises can be
+hull vertices.  Every float hull and slope test carries an error bound built
+from the magnitudes of the terms ``F`` sums (``sum |slope_j| * width_j``); a
+test that bound cannot settle is decided in integer arithmetic over one
+power-of-two denominator (floats are dyadic rationals), built once per
+problem and O(1) per test.  Flat segments and exact ties therefore always
+resolve to their leftmost point.
 
 All contexts are immutable; evaluation is pure, so batches may run in
 parallel without affecting results.
@@ -26,27 +47,10 @@ parallel without affecting results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .data_model import Bounds, Cell, EstimabilityError, Sample
-
-# Queries are evaluated against the candidate grid in blocks of this many
-# rows, which bounds the scratch matrix at a few megabytes.
-_QUERY_CHUNK = 2048
-
-# Candidates whose float objective lies within a small window of the row
-# minimum are re-compared in exact rational arithmetic.  The window sits a
-# factor 64 above the accumulated prefix-sum rounding bound (~ n * eps *
-# scale), so every exact tie lands inside it while clear winners stay out;
-# exact resolution makes the smallest-minimizer tie-break deterministic and
-# affine equivariant even on flat objective segments.
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def _tie_window(scale: float, n_terms: int) -> float:
-    return 64.0 * max(n_terms, 64) * _EPS * scale
 
 
 def sign_left(u):
@@ -66,9 +70,7 @@ def _prefix_sums(sorted_values: np.ndarray) -> np.ndarray:
 def _abs_sum(sorted_values: np.ndarray, prefix: np.ndarray, t):
     """Sum of |value - t| over the group via binary search and prefix sums.
 
-    ``t`` may be a scalar or an array.  The scalar and batched minimization
-    paths share this helper (and the same arithmetic tree downstream) so both
-    produce bit-identical objective values.
+    ``t`` may be a scalar or an array.
     """
     m = len(sorted_values)
     k = np.searchsorted(sorted_values, t, side="right")
@@ -150,43 +152,30 @@ def build_context(sample: Sample, cell: Cell, d: int, bounds: Bounds) -> Objecti
         row_ids=rows, row_y=y, row_d=dv, row_z=zv)
 
 
-def _loo_terms(ctx: ObjectiveContext, i, t, y):
-    """Objective ingredients after removing row ``i`` (``i`` may be None).
+def _loo_signs(ctx: ObjectiveContext, i, y):
+    """Sign sums at ``y`` and instrument-arm sizes after removing row ``i``.
 
-    Returns ``(s_match, s_other, g_match, g_other, n_match, n_other)`` where
-    the ``s`` terms are absolute-deviation sums evaluated at ``t`` (scalar or
-    vector), the ``g`` terms are integer sign sums at ``y``, and the counts
-    are the leave-one-out instrument-arm sizes.
+    Returns ``(g_match, g_other, n_match, n_other)``; ``i`` may be None.
     """
-    s_match = _abs_sum(ctx.abs_match, ctx.abs_match_prefix, t)
-    s_other = _abs_sum(ctx.abs_other, ctx.abs_other_prefix, t)
     g_match = _sign_sum(ctx.sgn_match, y)
     g_other = _sign_sum(ctx.sgn_other, y)
     n_match, n_other = ctx.n_match, ctx.n_other
     if i is not None:
         pos = ctx._locate(i)
-        y_i = ctx.row_y[pos]
-        d_i = int(ctx.row_d[pos])
-        z_i = int(ctx.row_z[pos])
-        in_match = z_i == ctx.target
+        in_match = int(ctx.row_z[pos]) == ctx.target
         if in_match:
             n_match -= 1
         else:
             n_other -= 1
-        if d_i == ctx.target:
+        if int(ctx.row_d[pos]) != ctx.target:
             if in_match:
-                s_match = s_match - np.abs(y_i - t)
+                g_match = g_match - sign_left(ctx.row_y[pos] - y)
             else:
-                s_other = s_other - np.abs(y_i - t)
-        else:
-            if in_match:
-                g_match = g_match - sign_left(y_i - y)
-            else:
-                g_other = g_other - sign_left(y_i - y)
+                g_other = g_other - sign_left(ctx.row_y[pos] - y)
     if n_match < 1 or n_other < 1:
         raise EstimabilityError(
             f"removing row {i} empties an instrument arm of cell x={ctx.cell}")
-    return s_match, s_other, g_match, g_other, n_match, n_other
+    return g_match, g_other, n_match, n_other
 
 
 def objective_value(ctx: ObjectiveContext, i, t: float, y: float) -> float:
@@ -198,82 +187,17 @@ def objective_value(ctx: ObjectiveContext, i, t: float, y: float) -> float:
     if not ctx.lower <= t <= ctx.upper:
         raise ValueError(
             f"t={t} outside the outcome bounds [{ctx.lower}, {ctx.upper}]")
-    s_match, s_other, g_match, g_other, n_match, n_other = _loo_terms(ctx, i, t, y)
-    return float((s_match - g_match * t) / n_match - (s_other - g_other * t) / n_other)
-
-
-def _candidates(ctx: ObjectiveContext, i) -> np.ndarray:
-    mask = ctx.row_d == ctx.target
-    if i is not None:
-        mask = mask & (ctx.row_ids != i)
-    vals = ctx.row_y[mask]
-    vals = vals[(vals >= ctx.lower) & (vals <= ctx.upper)]
-    return np.unique(np.concatenate((np.array([ctx.lower, ctx.upper]), vals)))
-
-
-def _exact_score(t, abs_match, abs_other, g_match, g_other,
-                 n_match, n_other) -> Fraction:
-    """Objective at ``t`` times the positive factor n_match * n_other, exact.
-
-    Floats are dyadic rationals, so every term carries a power-of-two
-    denominator and the whole score reduces to integer arithmetic.
-    """
-    t_num, t_den = float(t).as_integer_ratio()
-
-    def abs_sum(group):
-        num, den = 0, 1
-        for v in group:
-            v_num, v_den = float(v).as_integer_ratio()
-            term_num = abs(v_num * t_den - t_num * v_den)
-            term_den = v_den * t_den
-            if term_den > den:
-                num = num * (term_den // den) + term_num
-                den = term_den
-            else:
-                num += term_num * (den // term_den)
-        return num, den
-
-    s_match_num, s_match_den = abs_sum(abs_match)
-    s_other_num, s_other_den = abs_sum(abs_other)
-    den = max(s_match_den, s_other_den, t_den)
-    s_match = s_match_num * (den // s_match_den)
-    s_other = s_other_num * (den // s_other_den)
-    loc = t_num * (den // t_den)
-    return Fraction((s_match - int(g_match) * loc) * int(n_other)
-                    - (s_other - int(g_other) * loc) * int(n_match), den)
-
-
-def _pick_minimizer(cands, values, abs_match, abs_other, g_match, g_other,
-                    n_match, n_other) -> int:
-    """Index of the smallest candidate attaining the minimum.
-
-    The float scan settles all clear cases; candidates within the tie window
-    of the minimum are re-ranked exactly so that flat segments always resolve
-    to their leftmost point.
-    """
-    v_min = float(values.min())
-    scale = max(1.0, float(np.max(np.abs(values))))
-    window = _tie_window(scale, len(abs_match) + len(abs_other))
-    near = np.flatnonzero(values <= v_min + window)
-    if len(near) == 1:
-        return int(near[0])
-    scores = [_exact_score(cands[k], abs_match, abs_other, g_match, g_other,
-                           n_match, n_other) for k in near]
-    return int(near[scores.index(min(scores))])
-
-
-def _loo_abs_groups(ctx: ObjectiveContext, i) -> tuple[np.ndarray, np.ndarray]:
-    """Absolute-deviation groups with row ``i`` removed when it belongs."""
-    abs_match, abs_other = ctx.abs_match, ctx.abs_other
+    g_match, g_other, n_match, n_other = _loo_signs(ctx, i, y)
+    s_match = _abs_sum(ctx.abs_match, ctx.abs_match_prefix, t)
+    s_other = _abs_sum(ctx.abs_other, ctx.abs_other_prefix, t)
     if i is not None:
         pos = ctx._locate(i)
         if int(ctx.row_d[pos]) == ctx.target:
-            y_i = ctx.row_y[pos]
             if int(ctx.row_z[pos]) == ctx.target:
-                abs_match = np.delete(abs_match, np.searchsorted(abs_match, y_i))
+                s_match = s_match - np.abs(ctx.row_y[pos] - t)
             else:
-                abs_other = np.delete(abs_other, np.searchsorted(abs_other, y_i))
-    return abs_match, abs_other
+                s_other = s_other - np.abs(ctx.row_y[pos] - t)
+    return float((s_match - g_match * t) / n_match - (s_other - g_other * t) / n_other)
 
 
 def minimize_objective(ctx: ObjectiveContext, i, y: float) -> float:
@@ -281,16 +205,141 @@ def minimize_objective(ctx: ObjectiveContext, i, y: float) -> float:
 
     The objective is piecewise linear in ``t`` with kinks only at outcomes of
     treatment-``target`` rows, so the minimum over the closed interval is
-    attained on those kinks or the interval endpoints; all candidates are
-    evaluated and the smallest minimizer is returned (ties resolved exactly).
+    attained on those kinks or the interval endpoints; the smallest exact
+    minimizer among them is returned.
     """
-    cands = _candidates(ctx, i)
-    s_match, s_other, g_match, g_other, n_match, n_other = _loo_terms(ctx, i, cands, y)
-    values = (s_match - g_match * cands) / n_match - (s_other - g_other * cands) / n_other
-    abs_match, abs_other = _loo_abs_groups(ctx, i)
-    pick = _pick_minimizer(cands, values, abs_match, abs_other,
-                           g_match, g_other, n_match, n_other)
-    return float(cands[pick])
+    g_match, g_other, n_match, n_other = _loo_signs(ctx, i, y)
+    keep = ctx.row_d == ctx.target
+    if i is not None:
+        keep = keep & (ctx.row_ids != i)
+    k = np.array([n_match * int(g_other) - n_other * int(g_match)], dtype=np.int64)
+    return float(_smallest_minimizers(ctx.row_y[keep], ctx.row_z[keep] == ctx.target,
+                                      ctx.lower, ctx.upper, n_match, n_other, k)[0])
+
+
+# Unit roundoff of float64, and an absolute slack that keeps the float error
+# bounds valid where products underflow; any test within them is decided
+# exactly, so both only need to be large enough.
+_UNIT = 2.0 ** -53
+_TINY = 1e-300
+
+
+def _dyadic_prefix(cands: np.ndarray, slopes: np.ndarray, pts) -> tuple[list, list]:
+    """Candidates and ``F - F(c_0)`` at ``pts``, as integers over one denominator.
+
+    Every float is an integer times a power of two, so scaling by the smallest
+    power present makes all candidates integers; ``F`` rises by ``slope *
+    width`` on each segment, so its prefix differences are integers too.
+    """
+    mant, expo = np.frexp(cands)
+    nums = (mant * 2.0 ** 53).astype(np.int64).tolist()
+    shifts = (expo - expo.min()).tolist()
+    xs = [num << shift for num, shift in zip(nums, shifts)]
+    rises = [0]
+    for slope, left, right in zip(slopes.tolist(), xs, xs[1:]):
+        rises.append(rises[-1] + slope * (right - left))
+    return [xs[p] for p in pts], [rises[p] for p in pts]
+
+
+def _edge_slope(x, g, err, a, b):
+    """Slope of ``g`` from point ``a`` to point ``b`` and a bound on its error.
+
+    ``err`` bounds the error of every float ``g``; the other terms cover the
+    roundings in the width, the difference, the division and a later
+    comparison.  Takes list items or array slices alike.
+    """
+    width = x[b] - x[a]
+    slope = (g[b] - g[a]) / width
+    return slope, 2.02 * err / width + 6.0 * _UNIT * abs(slope) + _TINY
+
+
+# Float overflow only widens a test's error bound to infinity, which sends
+# the test to the exact path, so it needs no warning.
+@np.errstate(over="ignore", invalid="ignore")
+def _smallest_minimizers(abs_y, abs_in_match, lo, hi, n_match, n_other,
+                         k) -> np.ndarray:
+    """Smallest exact minimizer of ``F(t) + k * t`` over the candidates, per ``k``.
+
+    ``abs_y`` holds the treatment-target outcomes (leave-one-out removal
+    already applied) and ``abs_in_match`` marks those in the matching
+    instrument arm; ``n_match``/``n_other`` are the leave-one-out arm sizes
+    and ``k`` the integer query coefficients (see the module docstring).
+    """
+    abs_match = np.sort(abs_y[abs_in_match])
+    abs_other = np.sort(abs_y[~abs_in_match])
+    in_support = abs_y[(abs_y >= lo) & (abs_y <= hi)]
+    cands = np.unique(np.concatenate((np.array([lo, hi]), in_support)))
+
+    # Integer slope of F on each segment between consecutive candidates, and
+    # the float rise of F along it.
+    left = cands[:-1]
+    slopes = (n_other * (2 * np.searchsorted(abs_match, left, side="right")
+                         - len(abs_match))
+              - n_match * (2 * np.searchsorted(abs_other, left, side="right")
+                           - len(abs_other)))
+    rise = slopes * np.diff(cands)
+    # Only candidates where the slope strictly rises can be hull vertices:
+    # these are the points of the chain.  Their G = F - F(lo), summed in
+    # floats, is off by at most ``err``.
+    pts = np.flatnonzero(np.concatenate(([True], slopes[1:] > slopes[:-1],
+                                         [len(cands) > 1])))
+    x = cands[pts]
+    g = np.concatenate(([0.0], np.cumsum(rise)))[pts]
+    err = (2.0 * _UNIT * float(np.abs(rise).sum()) + _TINY) * (len(cands) + 1)
+    if not np.isfinite(cands[-1] - cands[0]):
+        err = np.inf   # an overflowing width would hide the slope error
+    exact = None   # the points in integers, built at the first doubtful test
+
+    # Andrew's monotone chain over the points; edges between neighbouring
+    # points come precomputed.
+    adj_s, adj_e = _edge_slope(x, g, err, slice(None, -1), slice(1, None))
+    adj_s, adj_e = adj_s.tolist(), adj_e.tolist()
+    xs, gs = x.tolist(), g.tolist()
+    hull, hull_s, hull_e = [0], [], []
+    for p in range(1, len(xs)):
+        if hull[-1] == p - 1:
+            sp, ep = adj_s[p - 1], adj_e[p - 1]
+        else:
+            sp, ep = _edge_slope(xs, gs, err, hull[-1], p)
+        # Drop the top vertex j while slope(i, j) >= slope(j, p).
+        while hull_s and not hull_s[-1] + hull_e[-1] < sp - ep:
+            if not hull_s[-1] - hull_e[-1] > sp + ep:
+                if exact is None:
+                    exact = _dyadic_prefix(cands, slopes, pts)
+                cx, cg = exact
+                i, j = hull[-2], hull[-1]
+                if (cg[j] - cg[i]) * (cx[p] - cx[j]) < (cg[p] - cg[j]) * (cx[j] - cx[i]):
+                    break
+            hull.pop()
+            hull_s.pop()
+            hull_e.pop()
+            sp, ep = _edge_slope(xs, gs, err, hull[-1], p)
+        hull.append(p)
+        hull_s.append(sp)
+        hull_e.append(ep)
+
+    # Made monotone, the bounds on the hull's edge slopes bracket the first
+    # edge with exact slope >= -k between two searchsorted positions.
+    hull_s, hull_e = np.array(hull_s), np.array(hull_e)
+    lower = np.fmax.accumulate(np.fmax(hull_s - hull_e, -np.inf))
+    upper = np.fmin.accumulate(np.fmin(hull_s + hull_e, np.inf)[::-1])[::-1]
+    target = -np.asarray(k, dtype=np.float64)
+    pos = np.searchsorted(upper, target, side="left")
+    last = np.searchsorted(lower, target, side="left")
+    for q in np.flatnonzero(pos < last).tolist():
+        if exact is None:
+            exact = _dyadic_prefix(cands, slopes, pts)
+        cx, cg = exact
+        kq, a, b = int(k[q]), int(pos[q]), int(last[q])
+        while a < b:
+            mid = (a + b) // 2
+            u, v = hull[mid], hull[mid + 1]
+            if cg[v] - cg[u] + kq * (cx[v] - cx[u]) < 0:
+                a = mid + 1
+            else:
+                b = mid
+        pos[q] = a
+    return x[np.array(hull)[pos]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,64 +361,6 @@ class PseudoIteVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def _batch_minimizers(cell_y, cell_d, cell_z, d, lo, hi, query_pos) -> np.ndarray:
-    """Smallest exact minimizers for many leave-one-out queries of one cell.
-
-    All query rows carry treatment ``1 - d``, so leaving one out only touches
-    the sign sums and arm counts; the absolute-deviation sums and the
-    candidate grid are shared across queries.  The arithmetic mirrors
-    :func:`objective_value` term by term, so the two paths agree bitwise.
-    """
-    abs_mask = cell_d == d
-    abs_y = cell_y[abs_mask]
-    abs_z = cell_z[abs_mask]
-    abs_match_sorted = np.sort(abs_y[abs_z == d])
-    abs_other_sorted = np.sort(abs_y[abs_z != d])
-    p_match = _prefix_sums(abs_match_sorted)
-    p_other = _prefix_sums(abs_other_sorted)
-    sgn_match = np.sort(cell_y[~abs_mask & (cell_z == d)])
-    sgn_other = np.sort(cell_y[~abs_mask & (cell_z != d)])
-    n_match_full = int((cell_z == d).sum())
-    n_other_full = len(cell_y) - n_match_full
-
-    in_support = abs_y[(abs_y >= lo) & (abs_y <= hi)]
-    cands = np.unique(np.concatenate((np.array([lo, hi]), in_support)))
-    s_match = _abs_sum(abs_match_sorted, p_match, cands)
-    s_other = _abs_sum(abs_other_sorted, p_other, cands)
-
-    y_q = cell_y[query_pos]
-    in_match = cell_z[query_pos] == d
-    # Query rows have treatment 1 - d, so each belongs to one sign group and
-    # its own contribution there is sign_left(0) = -1; removing it adds 1.
-    g_match = _sign_sum(sgn_match, y_q) + in_match
-    g_other = _sign_sum(sgn_other, y_q) + ~in_match
-    n_match = n_match_full - in_match.astype(np.int64)
-    n_other = n_other_full - (~in_match).astype(np.int64)
-
-    out = np.empty(len(query_pos), dtype=np.float64)
-    for start in range(0, len(query_pos), _QUERY_CHUNK):
-        stop = min(start + _QUERY_CHUNK, len(query_pos))
-        block = slice(start, stop)
-        values = ((s_match[None, :] - g_match[block, None] * cands[None, :])
-                  / n_match[block, None]
-                  - (s_other[None, :] - g_other[block, None] * cands[None, :])
-                  / n_other[block, None])
-        picks = np.argmin(values, axis=1)
-        v_min = values[np.arange(values.shape[0]), picks]
-        scales = np.maximum(1.0, np.abs(values).max(axis=1))
-        n_terms = len(abs_match_sorted) + len(abs_other_sorted)
-        windows = _tie_window(1.0, n_terms) * scales
-        ambiguous = np.flatnonzero(
-            (values <= (v_min + windows)[:, None]).sum(axis=1) > 1)
-        for r in ambiguous:
-            q = start + r
-            picks[r] = _pick_minimizer(cands, values[r], abs_match_sorted,
-                                       abs_other_sorted, g_match[q], g_other[q],
-                                       int(n_match[q]), int(n_other[q]))
-        out[block] = cands[picks]
-    return out
 
 
 def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
@@ -395,17 +386,37 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
                 f"cell x={cell} needs at least 2 observations in each instrument arm "
                 f"for leave-one-out estimation (z-counts: {len(rows) - n_z1}, {n_z1})")
         for d in (0, 1):
+            # Query rows have treatment 1 - d: they form the two sign groups,
+            # and leaving one out only touches its sign sum and arm size.
             query_pos = np.flatnonzero(cell_d == 1 - d)
             if len(query_pos) == 0:
                 continue
             lo, hi = bounds.for_group(d, cell)
-            phi = _batch_minimizers(cell_y, cell_d, cell_z, d, float(lo), float(hi),
-                                    query_pos)
+            abs_mask = cell_d == d
+            abs_y = cell_y[abs_mask]
+            abs_in_match = cell_z[abs_mask] == d
+            y_q = cell_y[query_pos]
+            in_match = cell_z[query_pos] == d
+            # Each query's own sign term is sign_left(0) = -1; removing it adds 1.
+            g_match = _sign_sum(np.sort(y_q[in_match]), y_q) + in_match
+            g_other = _sign_sum(np.sort(y_q[~in_match]), y_q) + ~in_match
+            n_match_full = int((cell_z == d).sum())
+            n_other_full = len(rows) - n_match_full
+            phi = np.empty(len(query_pos), dtype=np.float64)
+            for arm in (True, False):
+                sel = in_match == arm
+                if not sel.any():
+                    continue
+                n_match = n_match_full - arm
+                n_other = n_other_full - (not arm)
+                k = n_match * g_other[sel] - n_other * g_match[sel]
+                phi[sel] = _smallest_minimizers(abs_y, abs_in_match, float(lo), float(hi),
+                                                n_match, n_other, k)
             targets = rows[query_pos]
             if d == 1:
-                values[targets] = phi - cell_y[query_pos]
+                values[targets] = phi - y_q
             else:
-                values[targets] = cell_y[query_pos] - phi
+                values[targets] = y_q - phi
             maps[targets] = d
             minimizers[targets] = phi
     return PseudoIteVector(values=values, map_treatment=maps, minimizers=minimizers)

@@ -43,6 +43,10 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the command ran past its config checks")
+
+
 class TestAnalyze:
     def test_full_report(self, bench_csv, tmp_path):
         out = tmp_path / "report.json"
@@ -115,6 +119,22 @@ class TestAnalyze:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "io" and "missing" in err["message"]
+
+    @pytest.mark.parametrize("flags", [
+        ("--tau", "1.5"), ("--tau", "0.5,0"), ("--tau-range", "0.2,0.1"),
+        ("--tau-range", "0,0.9"), ("--tau-range", "0.1,1"), ("--v-range", "2,1"),
+        ("--grid-size", "1"), ("--max-redraws", "-1")])
+    def test_bad_level_or_grid_value_rejected_before_ingest(
+            self, flags, bench_csv, tmp_path, capsys, monkeypatch):
+        import itedist.cli
+        monkeypatch.setattr(itedist.cli, "ingest_csv", _unreachable)
+        monkeypatch.setattr(itedist.cli, "draw_replicates", _unreachable)
+        code = run_cli("analyze", "--input", str(bench_csv), "--bootstrap", "5",
+                       "--report", "quantile,bands", *flags,
+                       "--output", str(tmp_path / "x.json"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and flags[0][2:] in err["message"]
 
     def test_ingest_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -190,6 +210,21 @@ class TestCompare:
         assert {i["target"] for i in doc["intervals"]} == {
             "quantile-difference", "iqr-difference"}
         assert doc["bands"][0]["target"] == "quantile-difference"
+
+    @pytest.mark.parametrize("flags", [
+        ("--tau", "1.5"), ("--tau-range", "0.9,0.1"), ("--grid-size", "1"),
+        ("--max-redraws", "-2")])
+    def test_bad_level_or_grid_value_rejected_before_ingest(
+            self, flags, split_csv, tmp_path, capsys, monkeypatch):
+        import itedist.cli
+        monkeypatch.setattr(itedist.cli, "ingest_csv", _unreachable)
+        monkeypatch.setattr(itedist.cli, "two_group_quantile_replicates", _unreachable)
+        code = run_cli("compare", "--input", str(split_csv), "--covariate-cols",
+                       "grp", "--group0", "grp=0", "--group1", "grp=1",
+                       "--bootstrap", "5", *flags, "--output", str(tmp_path / "x.json"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and flags[0][2:] in err["message"]
 
     def test_overlapping_selectors_rejected(self, split_csv, tmp_path):
         code = run_cli("compare", "--input", str(split_csv), "--covariate-cols",
@@ -310,6 +345,27 @@ class TestReproducibility:
                        "--output", str(tmp_path / "x.json")) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "bootstrap" in err["message"]
+
+    @pytest.mark.parametrize("key, value", [("bootstrap", 20.9), ("seed", 1.5),
+                                            ("grid-size", 7.25)])
+    def test_fractional_config_integer_is_config_error(
+            self, key, value, bench_csv, tmp_path, capsys, monkeypatch):
+        import itedist.cli
+        monkeypatch.setattr(itedist.cli, "draw_replicates", _unreachable)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input": str(bench_csv), key: value}))
+        assert run_cli("analyze", "--config", str(cfg_path),
+                       "--output", str(tmp_path / "x.json")) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and key in err["message"]
+
+    def test_integral_float_config_value_accepted(self, bench_csv, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input": str(bench_csv), "bootstrap": 20.0,
+                                        "report": ["iqr"]}))
+        out = tmp_path / "x.json"
+        assert run_cli("analyze", "--config", str(cfg_path), "--output", str(out)) == 0
+        assert json.loads(out.read_text())["reproducibility"]["bootstrap"] == 20
 
     def test_unknown_config_key(self, bench_csv, tmp_path):
         cfg_path = tmp_path / "cfg.json"

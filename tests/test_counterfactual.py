@@ -1,13 +1,17 @@
 """Objective evaluation, exact minimization, and pseudo-effect estimation.
 
-The reference implementations here (naive loops, dense-grid scans) are kept
-deliberately independent of the library's prefix-sum/candidate machinery.
+The reference implementations here (naive loops, dense-grid scans, an
+exhaustive exact argmin) are kept deliberately independent of the library's
+prefix-sum and convex-hull machinery.
 """
 from __future__ import annotations
 
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itedist import (Bounds, EstimabilityError, Sample, build_context,
@@ -48,6 +52,49 @@ def grid_objective(rows, i, d, y, grid):
         arm = (abssum - sgnsum * grid) / len(members)
         out = out + (arm if z == d else -arm)
     return out
+
+
+def exact_argmin(rows, i, d, y, lo, hi):
+    """Smallest minimizer of the leave-``i``-out objective, by exhaustive search.
+
+    Every candidate (both bounds and each in-bounds outcome of a
+    treatment-``d`` row other than ``i``) is scored in exact rational
+    arithmetic, and the smallest one attaining the minimum is returned.
+    """
+    keep = [(Fraction(yj), yj, dj, zj) for j, (yj, dj, zj) in enumerate(rows) if j != i]
+    cands = sorted({lo, hi} | {yj for _, yj, dj, _ in keep if dj == d and lo <= yj <= hi})
+    arm = {z: sum(1 for *_, zj in keep if zj == z) for z in (0, 1)}
+    best = None
+    for t in cands:
+        exact_t = Fraction(t)
+        value = Fraction(0)
+        for exact_y, yj, dj, zj in keep:
+            term = abs(exact_y - exact_t) if dj == d else -(1 if yj > y else -1) * exact_t
+            value += term / arm[zj] if zj == d else -term / arm[zj]
+        if best is None or value < best[0]:
+            best = (value, t)
+    return best[1]
+
+
+_OUTCOMES = {
+    "large offset": st.floats(0.0, 1.0).map(lambda u: 1e9 + u),
+    "mixed magnitudes": st.builds(lambda u, e: u * 10.0 ** e,
+                                  st.floats(0.0, 1.0), st.integers(-8, 8)),
+    "outliers": st.sampled_from([1e-8, 1.0, 2.0, 3.0, 1e8]),
+    "heavy ties": st.integers(0, 3).map(float),
+    "3 decimals": st.floats(0.0, 1.0).map(lambda u: round(u, 3)),
+}
+
+
+@st.composite
+def oracle_cells(draw):
+    """``(y, d, z)`` of one cell; its first four rows fill both arms and groups."""
+    n = draw(st.one_of(st.integers(4, 6), st.integers(7, 40)))
+    y = draw(st.lists(draw(st.sampled_from(list(_OUTCOMES.values()))),
+                      min_size=n, max_size=n))
+    d = [0, 1, 1, 0] + draw(st.lists(st.integers(0, 1), min_size=n - 4, max_size=n - 4))
+    z = [0, 1, 0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 4, max_size=n - 4))
+    return y, d, z
 
 
 def make_cell(rng, n, decimals=None):
@@ -254,6 +301,39 @@ class TestMinimize:
         assert errs[8000] < 0.15
 
 
+class TestExactOracle:
+    """Both entry points against :func:`exact_argmin` on adversarial cells."""
+
+    # Inputs where a float scan whose tie window scales with the objective's
+    # value, not with its terms, picks 1e9 + 0.01 over the exact minimizer
+    # 1e9 + 0.61, and 1e8 over 1.0.
+    @example(([1e9 + 0.61, 1e9 + 0.36, 1e9 + 0.13, 1e9 + 0.31, 1e9 + 0.01, 1e9 + 0.13],
+              [0, 1, 1, 0, 0, 1], [0, 1, 0, 1, 0, 1]))
+    @example(([2.0, 1e8, 1e8, 1e-8, 1.0, 2.0, 1e-8],
+              [0, 1, 1, 0, 1, 0, 0], [0, 1, 0, 1, 0, 0, 1]))
+    @given(oracle_cells())
+    @settings(max_examples=150, deadline=None)
+    def test_smallest_exact_minimizer(self, cell):
+        y, d, z = cell
+        s = Sample(outcomes=y, treatments=d, instruments=z,
+                   covariates=np.zeros((len(y), 0), dtype=int))
+        bounds = estimate_bounds(s)
+        rows = list(zip(y, d, z))
+        vec = pseudo_ites(s, bounds)
+        for i, (y_i, d_i, _) in enumerate(rows):
+            target = 1 - d_i
+            assert vec.minimizers[i] == exact_argmin(rows, i, target, y_i,
+                                                     *bounds.for_group(target, ()))
+        for target in (0, 1):
+            ctx = build_context(s, (), target, bounds)
+            map_row = d.index(target)
+            query_row = d.index(1 - target)
+            for i, y_ref in ((None, y[-1]), (map_row, y[query_row]),
+                             (query_row, y[map_row])):
+                assert minimize_objective(ctx, i, y_ref) == exact_argmin(
+                    rows, i, target, y_ref, *bounds.for_group(target, ()))
+
+
 class TestPseudoItes:
     def test_two_row_cell_rejected(self):
         s = Sample(outcomes=[1.0, 2.0], treatments=[0, 1], instruments=[0, 1],
@@ -337,6 +417,14 @@ class TestPseudoItes:
         first = pseudo_ites(gen.sample, bounds)
         second = pseudo_ites(gen.sample, bounds)
         assert np.array_equal(first.values, second.values)
+
+    def test_hundred_thousand_row_cell(self):
+        gen = generate(100_000, derive_stream(4242, 0))
+        bounds = estimate_bounds(gen.sample)
+        started = time.perf_counter()
+        vec = pseudo_ites(gen.sample, bounds)
+        assert time.perf_counter() - started < 10.0
+        assert np.all(np.isfinite(vec.values))
 
     def test_benchmark_ks_distance(self):
         # calibrated over 100 draws: the median Kolmogorov-Smirnov distance
