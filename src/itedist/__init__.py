@@ -9,11 +9,6 @@ Monte Carlo harness over a closed-form benchmark population.
 
 __version__ = "0.1.0"
 
-from .benchmark_sim import (CoverageReport, DgpConfig, DgpOracle, GaussianDiagnostic,
-                            GeneratedSample, StudyTarget, TheoryVariance,
-                            VarianceGapReport, gaussian_diagnostic, generate,
-                            naive_ci_cdf, quantile_variance_gap, run_coverage,
-                            theory_variance, true_ites)
 from .bootstrap_inference import (BandResult, BootstrapConfig, BootstrapReplicates,
                                   IntervalResult, NORMAL_QUARTILE_SPREAD,
                                   ReplicationError, TestResult, TwoGroupReplicates,
@@ -63,3 +58,18 @@ __all__ = [
     "generate", "true_ites", "theory_variance", "quantile_variance_gap",
     "run_coverage", "naive_ci_cdf", "gaussian_diagnostic",
 ]
+
+# The benchmark harness needs scipy, which takes longer to import than the
+# rest of the package; it is loaded on first use of one of its names.
+_BENCHMARK_NAMES = frozenset((
+    "CoverageReport", "DgpConfig", "DgpOracle", "GaussianDiagnostic",
+    "GeneratedSample", "StudyTarget", "TheoryVariance", "VarianceGapReport",
+    "gaussian_diagnostic", "generate", "naive_ci_cdf", "quantile_variance_gap",
+    "run_coverage", "theory_variance", "true_ites"))
+
+
+def __getattr__(name):
+    if name in _BENCHMARK_NAMES:
+        from . import benchmark_sim
+        return getattr(benchmark_sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

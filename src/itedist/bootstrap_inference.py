@@ -3,7 +3,12 @@
 Only ``draw_replicates`` and ``two_group_quantile_replicates`` resample: they
 draw rows with replacement, recompute the leave-one-out pseudo treatment
 effects on each resample (holding the original outcome bounds fixed), and
-keep the sorted effects or per-level quantiles of every replication.  Every
+keep the sorted effects or per-level quantiles of every replication.  Each
+replication's resample comes from its own keyed stream; a chunk of accepted
+resamples is stacked into one sample whose cells are (replication, cell), so
+one ``pseudo_ites`` call fits the whole chunk, and each replication's effects
+are split back out before sorting.  A row's effect depends only on its cell,
+so the chunking never changes a result.  Every
 inference product is a pure function of one such replicate set and the
 level and grid it is asked for: it reads off percentile intervals or
 sup-statistic critical values from the replication order statistics.
@@ -37,6 +42,11 @@ NORMAL_QUARTILE_SPREAD = 1.3489795003921634
 _STUDENTIZER_FLOOR = 1e-12
 
 _BOUNDED_TARGETS = {"cdf", "prob-positive"}
+
+# Resampled rows fitted by one pseudo_ites call: enough to spread its fixed
+# cost over many small replications, few enough to bound the memory a fit of
+# the stacked sample takes.
+_CHUNK_ROWS = 4096
 
 
 class ReplicationError(RuntimeError):
@@ -216,21 +226,54 @@ class BootstrapReplicates:
         return self.sorted_values.shape[1]
 
 
+def _chunks(n_replications: int, *sizes: int) -> list[range]:
+    """Consecutive replications, about ``_CHUNK_ROWS`` rows of the largest
+    sample per chunk and at least one replication."""
+    per = max(1, _CHUNK_ROWS // max(sizes))
+    return [range(lo, min(lo + per, n_replications))
+            for lo in range(0, n_replications, per)]
+
+
+def _fit_stacked(drawn: list[tuple[Sample, int]], bounds: Bounds,
+                 chunk: range) -> tuple[np.ndarray, int]:
+    """Sorted pseudo-ITEs of the resamples of replications ``chunk``, and
+    their redraws; ``drawn`` holds each resample with its redraw count.
+
+    The resamples are stacked into one sample whose covariates lead with the
+    replication index, so its cells are (replication, cell) and one
+    :func:`pseudo_ites` call fits every replication against the original
+    bounds of its cell.
+    """
+    draws = [draw for draw, _ in drawn]
+    n = draws[0].n
+    index = np.repeat(np.array(chunk), n)[:, None]
+    stacked = Sample(
+        outcomes=np.concatenate([draw.outcomes for draw in draws]),
+        treatments=np.concatenate([draw.treatments for draw in draws]),
+        instruments=np.concatenate([draw.instruments for draw in draws]),
+        covariates=np.hstack((index, np.vstack([draw.covariates for draw in draws]))))
+    stacked_bounds = Bounds({(d, (r, *cell)): support
+                             for r in chunk
+                             for (d, cell), support in bounds.by_group.items()})
+    values = pseudo_ites(stacked, stacked_bounds).values
+    return (np.sort(values.reshape(len(chunk), n), axis=1),
+            sum(redraws for _, redraws in drawn))
+
+
 def draw_replicates(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
                     group: int = 0, threads: int = 1) -> BootstrapReplicates:
     """Run all replications once; every product can be read off the result."""
     point = pseudo_ites(sample, bounds)
 
-    def one(r: int) -> tuple[np.ndarray, int]:
-        draw, attempts = _draw_estimable_resample(sample, cfg, r, group)
-        return np.sort(pseudo_ites(draw, bounds).values), attempts
+    def one(chunk: range) -> tuple[np.ndarray, int]:
+        return _fit_stacked([_draw_estimable_resample(sample, cfg, r, group)
+                             for r in chunk], bounds, chunk)
 
-    results = parallel_map(one, range(cfg.n_replications), threads)
-    matrix = np.vstack([row for row, _ in results])
+    results = parallel_map(one, _chunks(cfg.n_replications, sample.n), threads)
     return BootstrapReplicates(
-        sorted_values=matrix,
+        sorted_values=np.vstack([rows for rows, _ in results]),
         point_sorted=np.sort(point.values),
-        redraws=sum(attempts for _, attempts in results))
+        redraws=sum(redraws for _, redraws in results))
 
 
 def _quantile_columns(sorted_rows: np.ndarray, taus) -> np.ndarray:
@@ -469,15 +512,17 @@ def two_group_quantile_replicates(sample0: Sample, sample1: Sample,
     point0 = np.sort(pseudo_ites(sample0, bounds0).values)
     point1 = np.sort(pseudo_ites(sample1, bounds1).values)
 
-    def one(r: int):
-        draw0, att0 = _draw_estimable_resample(sample0, cfg, r, 0)
-        draw1, att1 = _draw_estimable_resample(sample1, cfg, r,
-                                               0 if couple_streams else 1)
-        q0 = _quantile_columns(np.sort(pseudo_ites(draw0, bounds0).values), levels)
-        q1 = _quantile_columns(np.sort(pseudo_ites(draw1, bounds1).values), levels)
-        return q0, q1, att0, att1
+    def one(chunk: range):
+        drawn = [(_draw_estimable_resample(sample0, cfg, r, 0),
+                  _draw_estimable_resample(sample1, cfg, r, 0 if couple_streams else 1))
+                 for r in chunk]
+        sorted0, att0 = _fit_stacked([pair[0] for pair in drawn], bounds0, chunk)
+        sorted1, att1 = _fit_stacked([pair[1] for pair in drawn], bounds1, chunk)
+        return (_quantile_columns(sorted0, levels), _quantile_columns(sorted1, levels),
+                att0, att1)
 
-    results = parallel_map(one, range(cfg.n_replications), threads)
+    results = parallel_map(one, _chunks(cfg.n_replications, sample0.n, sample1.n),
+                           threads)
     return TwoGroupReplicates(
         levels=levels,
         estimate0=_quantile_columns(point0, levels),

@@ -26,9 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark_sim import (DgpOracle, StudyTarget, TheoryVariance,
-                            gaussian_diagnostic, run_coverage, write_coverage_csv,
-                            write_diagnostic_csv, write_variance_profile_csv)
 from .bootstrap_inference import (BootstrapConfig, ReplicationError,
                                   ci_cdf, ci_prob_positive, ci_quantile_and_iqr,
                                   compare_quantiles, draw_replicates,
@@ -387,7 +384,9 @@ _SIMULATE_DEFAULTS = {
 _STUDIES = ("table1", "table2", "table3", "table4", "figure1", "figure2")
 
 
-def _study_targets(resolved: dict) -> list[StudyTarget]:
+def _study_targets(resolved: dict) -> list:
+    from .benchmark_sim import StudyTarget
+
     study = resolved["study"]
     if study == "table1":
         targets = []
@@ -414,6 +413,9 @@ def _study_targets(resolved: dict) -> list[StudyTarget]:
 
 
 def cmd_simulate(resolved: dict, threads: int) -> None:
+    from .benchmark_sim import (gaussian_diagnostic, run_coverage, write_coverage_csv,
+                                write_diagnostic_csv, write_variance_profile_csv)
+
     _require(resolved, "study", "output")
     if resolved["study"] not in _STUDIES:
         raise ConfigError(f"study must be one of {_STUDIES}, got {resolved['study']!r}")
@@ -440,8 +442,11 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
                     output, diag.mean, diag.variance)
         return
 
+    _require(resolved, "bootstrap", "max-redraws")
     if resolved["bootstrap"] < 2:
         raise ConfigError(f"bootstrap replications must be >= 2, got {resolved['bootstrap']}")
+    if resolved["max-redraws"] < 0:
+        raise ConfigError(f"max-redraws must be >= 0, got {resolved['max-redraws']}")
     reports = run_coverage(_study_targets(resolved), n=resolved["n"],
                            reps=resolved["reps"], levels=resolved["levels"],
                            b=resolved["bootstrap"], seed=resolved["seed"],
@@ -458,6 +463,8 @@ _ORACLE_DEFAULTS = {"tau": [], "v": [], "y": [], "output": None, "format": "json
 
 
 def cmd_oracle(resolved: dict) -> ReportDocument:
+    from .benchmark_sim import DgpOracle, TheoryVariance
+
     oracle = DgpOracle()
     theory = TheoryVariance()
     estimates: dict[str, float] = {}

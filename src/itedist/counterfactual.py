@@ -29,17 +29,33 @@ positive factor ``n_match * n_other``, it reads ``F(t) + K * t``, where
 
 The smallest minimizer of ``F(t) + K * t`` over the candidates is the leftmost
 vertex of the lower convex hull of ``F`` whose right edge has slope at least
-``-K``.  One hull (Andrew's monotone chain) and one binary search per query
-answer all ``q`` queries over ``m`` candidates in ``O((m + q) log m)``.
+``-K``.  One hull and one binary search per query answer all ``q`` queries
+over ``m`` candidates.
 
-The result is exact, not merely close.  Between consecutive candidates the
-slope of ``F`` is an integer, so only candidates where it strictly rises can be
-hull vertices.  Every float hull and slope test carries an error bound built
-from the magnitudes of the terms ``F`` sums (``sum |slope_j| * width_j``); a
-test that bound cannot settle is decided in integer arithmetic over one
-power-of-two denominator (floats are dyadic rationals), built once per
-problem and O(1) per test.  Flat segments and exact ties therefore always
-resolve to their leftmost point.
+:func:`pseudo_ites` solves every (cell, target, instrument arm) problem of a
+sample in one kernel call, over concatenated arrays with problem ids, so a
+fit costs a fixed number of array operations per pass, not per problem:
+
+* one sort by (cell, treatment, outcome) serves both arms of every (cell,
+  target); the integer slopes of ``F`` between candidates come from
+  cumulative arm counts, and segmented prefix sums (Hillis and Steele's
+  doubling scan) give ``F`` at the candidates;
+* only candidates where the slope strictly rises can be hull vertices; an
+  elimination pass deletes, in every problem at once, each of these points
+  that lies on or above the chord of its current neighbours, and later
+  passes re-test only the neighbours of deleted points;
+* one ``searchsorted`` over every problem's monotone bounds on its hull edge
+  slopes, keyed by problem, answers every query.
+
+The result is exact, not merely close.  Every float hull and slope test
+carries an error bound built from the magnitudes of the terms its problem's
+``F`` sums (``sum |slope_j| * width_j``), which holds for any order in which
+a problem's own terms are summed; a test that bound cannot settle is decided
+in integer arithmetic over one power-of-two denominator (floats are dyadic
+rationals), built once per problem and O(1) per test.  Flat segments and
+exact ties therefore always resolve to their leftmost point.
+:func:`minimize_objective` calls the same kernel with one problem and one
+query.
 
 All contexts are immutable; evaluation is pure, so batches may run in
 parallel without affecting results.
@@ -212,9 +228,16 @@ def minimize_objective(ctx: ObjectiveContext, i, y: float) -> float:
     keep = ctx.row_d == ctx.target
     if i is not None:
         keep = keep & (ctx.row_ids != i)
+    values = np.concatenate((ctx.row_y[keep], [ctx.lower, ctx.upper]))
+    in_match = np.concatenate((ctx.row_z[keep] == ctx.target, [False, False]))
+    in_other = np.concatenate((ctx.row_z[keep] != ctx.target, [False, False]))
+    order = np.argsort(values)
+    one = np.zeros(1, dtype=np.intp)
     k = np.array([n_match * int(g_other) - n_other * int(g_match)], dtype=np.int64)
-    return float(_smallest_minimizers(ctx.row_y[keep], ctx.row_z[keep] == ctx.target,
-                                      ctx.lower, ctx.upper, n_match, n_other, k)[0])
+    return float(_smallest_minimizers(
+        values[order], np.zeros(len(values), dtype=np.intp), in_match[order],
+        in_other[order], np.array([ctx.lower]), np.array([ctx.upper]),
+        one, np.array([n_match]), np.array([n_other]), one, k)[0])
 
 
 # Unit roundoff of float64, and an absolute slack that keeps the float error
@@ -222,6 +245,24 @@ def minimize_objective(ctx: ObjectiveContext, i, y: float) -> float:
 # exactly, so both only need to be large enough.
 _UNIT = 2.0 ** -53
 _TINY = 1e-300
+
+
+def _segmented_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums of ``values`` within segments.
+
+    ``first[e]`` is the index where element ``e``'s segment starts.  Hillis
+    and Steele's doubling scan: each sum adds only terms of its own segment,
+    so its rounding error is bounded by those terms alone.
+    """
+    out = values.copy()
+    reach = np.arange(len(out)) - first
+    live = np.flatnonzero(reach >= 1)
+    step = 1
+    while len(live):
+        out[live] += out[live - step]   # both sides read before the write
+        step *= 2
+        live = live[reach[live] >= step]
+    return out
 
 
 def _dyadic_prefix(cands: np.ndarray, slopes: np.ndarray, pts) -> tuple[list, list]:
@@ -242,104 +283,165 @@ def _dyadic_prefix(cands: np.ndarray, slopes: np.ndarray, pts) -> tuple[list, li
 
 
 def _edge_slope(x, g, err, a, b):
-    """Slope of ``g`` from point ``a`` to point ``b`` and a bound on its error.
+    """Slope of ``g`` from points ``a`` to points ``b`` and a bound on its error.
 
-    ``err`` bounds the error of every float ``g``; the other terms cover the
-    roundings in the width, the difference, the division and a later
-    comparison.  Takes list items or array slices alike.
+    ``err`` bounds the error of every float ``g`` involved; the other terms
+    cover the roundings in the width, the difference, the division and a
+    later comparison.
     """
     width = x[b] - x[a]
     slope = (g[b] - g[a]) / width
-    return slope, 2.02 * err / width + 6.0 * _UNIT * abs(slope) + _TINY
+    return slope, 2.02 * err / width + 6.0 * _UNIT * np.abs(slope) + _TINY
+
+
+def _run_ends(group: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """True at the last element of each run of equal ``(group, y)``."""
+    last = np.ones(len(y), dtype=bool)
+    last[:-1] = (group[1:] != group[:-1]) | (y[1:] != y[:-1])
+    return last
+
+
+def _flagged_up_to(group, flags, at, n_groups):
+    """Per-group totals of ``flags``, and for each position in ``at`` the
+    flagged elements of its group up to and including it."""
+    total = np.bincount(group[flags], minlength=n_groups)
+    return total, np.cumsum(flags)[at] - (np.cumsum(total) - total)[group[at]]
+
+
+def _keyed(problem: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """``(problem, value)`` as complex numbers, which numpy orders
+    lexicographically, so one ascending array holds every problem's values."""
+    out = np.empty(len(problem), dtype=np.complex128)
+    out.real = problem
+    out.imag = value
+    return out
 
 
 # Float overflow only widens a test's error bound to infinity, which sends
 # the test to the exact path, so it needs no warning.
 @np.errstate(over="ignore", invalid="ignore")
-def _smallest_minimizers(abs_y, abs_in_match, lo, hi, n_match, n_other,
-                         k) -> np.ndarray:
-    """Smallest exact minimizer of ``F(t) + k * t`` over the candidates, per ``k``.
+def _smallest_minimizers(y, group, w_match, w_other, lo, hi, p_group, p_n_match,
+                         p_n_other, q_problem, k) -> np.ndarray:
+    """Smallest exact minimizer of ``F_p(t) + k * t`` for each query, all at once.
 
-    ``abs_y`` holds the treatment-target outcomes (leave-one-out removal
-    already applied) and ``abs_in_match`` marks those in the matching
-    instrument arm; ``n_match``/``n_other`` are the leave-one-out arm sizes
-    and ``k`` the integer query coefficients (see the module docstring).
+    Group ``g`` holds the treatment-target outcomes of one (cell, target):
+    ``y`` is sorted by ``(group, y)``, ``w_match``/``w_other`` flag outcomes in
+    the matching/other instrument arm, and a group that any problem reads
+    also holds its bounds ``lo[g]`` and ``hi[g]`` as unflagged elements.
+    Problem ``p`` minimizes over group ``p_group[p]`` with the leave-one-out
+    arm sizes ``p_n_match[p]``/``p_n_other[p]``; query ``q`` asks problem
+    ``q_problem[q]`` with the integer coefficient ``k[q]`` (see the module
+    docstring).
     """
-    abs_match = np.sort(abs_y[abs_in_match])
-    abs_other = np.sort(abs_y[~abs_in_match])
-    in_support = abs_y[(abs_y >= lo) & (abs_y <= hi)]
-    cands = np.unique(np.concatenate((np.array([lo, hi]), in_support)))
+    # Candidates: the distinct in-bounds values of each group.  The arm
+    # counts at or below each come from cumulative counts.
+    cand = np.flatnonzero(_run_ends(group, y) & (y >= lo[group]) & (y <= hi[group]))
+    n_groups = len(lo)
+    total_m, below_m = _flagged_up_to(group, w_match, cand, n_groups)
+    total_o, below_o = _flagged_up_to(group, w_other, cand, n_groups)
+    c_first = np.searchsorted(group[cand], np.arange(n_groups))
+    c_count = np.diff(np.append(c_first, len(cand)))
 
-    # Integer slope of F on each segment between consecutive candidates, and
-    # the float rise of F along it.
-    left = cands[:-1]
-    slopes = (n_other * (2 * np.searchsorted(abs_match, left, side="right")
-                         - len(abs_match))
-              - n_match * (2 * np.searchsorted(abs_other, left, side="right")
-                           - len(abs_other)))
-    rise = slopes * np.diff(cands)
+    # Each problem copies its group's candidates.  F's slope on the segment
+    # right of each candidate is an integer; G = F - F(lo) sums the rises.
+    m = c_count[p_group]
+    start = np.cumsum(m) - m
+    prob = np.repeat(np.arange(len(m)), m)
+    local = np.arange(len(prob)) - start[prob]
+    pg = p_group[prob]
+    src = c_first[pg] + local
+    x_all = y[cand[src]]
+    slope = (p_n_other[prob] * (2 * below_m[src] - total_m[pg])
+             - p_n_match[prob] * (2 * below_o[src] - total_o[pg]))
+    step_up = np.zeros(len(prob))
+    inner = np.flatnonzero(local > 0)
+    step_up[inner] = slope[inner - 1] * (x_all[inner] - x_all[inner - 1])
+    g_all = _segmented_cumsum(step_up, start[prob])
+    # Any summation order of a problem's rises is off by at most ``err``.
+    err = (2.0 * _UNIT * np.add.reduceat(np.abs(step_up), start) + _TINY) * (m + 1)
+    err[~np.isfinite(x_all[start + m - 1] - x_all[start])] = np.inf
+
     # Only candidates where the slope strictly rises can be hull vertices:
-    # these are the points of the chain.  Their G = F - F(lo), summed in
-    # floats, is off by at most ``err``.
-    pts = np.flatnonzero(np.concatenate(([True], slopes[1:] > slopes[:-1],
-                                         [len(cands) > 1])))
-    x = cands[pts]
-    g = np.concatenate(([0.0], np.cumsum(rise)))[pts]
-    err = (2.0 * _UNIT * float(np.abs(rise).sum()) + _TINY) * (len(cands) + 1)
-    if not np.isfinite(cands[-1] - cands[0]):
-        err = np.inf   # an overflowing width would hide the slope error
-    exact = None   # the points in integers, built at the first doubtful test
+    # these, with both ends, are the chain points.
+    is_pt = (local == 0) | (local == m[prob] - 1)
+    rest = np.flatnonzero(~is_pt)
+    is_pt[rest] = slope[rest] > slope[rest - 1]
+    pts = np.flatnonzero(is_pt)
+    x, g, pp = x_all[pts], g_all[pts], prob[pts]
+    perr = err[pp]
+    pt_first = np.searchsorted(pp, np.arange(len(m) + 1))
 
-    # Andrew's monotone chain over the points; edges between neighbouring
-    # points come precomputed.
-    adj_s, adj_e = _edge_slope(x, g, err, slice(None, -1), slice(1, None))
-    adj_s, adj_e = adj_s.tolist(), adj_e.tolist()
-    xs, gs = x.tolist(), g.tolist()
-    hull, hull_s, hull_e = [0], [], []
-    for p in range(1, len(xs)):
-        if hull[-1] == p - 1:
-            sp, ep = adj_s[p - 1], adj_e[p - 1]
-        else:
-            sp, ep = _edge_slope(xs, gs, err, hull[-1], p)
-        # Drop the top vertex j while slope(i, j) >= slope(j, p).
-        while hull_s and not hull_s[-1] + hull_e[-1] < sp - ep:
-            if not hull_s[-1] - hull_e[-1] > sp + ep:
-                if exact is None:
-                    exact = _dyadic_prefix(cands, slopes, pts)
-                cx, cg = exact
-                i, j = hull[-2], hull[-1]
-                if (cg[j] - cg[i]) * (cx[p] - cx[j]) < (cg[p] - cg[j]) * (cx[j] - cx[i]):
-                    break
-            hull.pop()
-            hull_s.pop()
-            hull_e.pop()
-            sp, ep = _edge_slope(xs, gs, err, hull[-1], p)
-        hull.append(p)
-        hull_s.append(sp)
-        hull_e.append(ep)
+    exact: dict[int, tuple[list, list]] = {}   # built at a problem's first doubtful test
 
-    # Made monotone, the bounds on the hull's edge slopes bracket the first
-    # edge with exact slope >= -k between two searchsorted positions.
-    hull_s, hull_e = np.array(hull_s), np.array(hull_e)
-    lower = np.fmax.accumulate(np.fmax(hull_s - hull_e, -np.inf))
-    upper = np.fmin.accumulate(np.fmin(hull_s + hull_e, np.inf)[::-1])[::-1]
-    target = -np.asarray(k, dtype=np.float64)
-    pos = np.searchsorted(upper, target, side="left")
-    last = np.searchsorted(lower, target, side="left")
-    for q in np.flatnonzero(pos < last).tolist():
-        if exact is None:
-            exact = _dyadic_prefix(cands, slopes, pts)
-        cx, cg = exact
-        kq, a, b = int(k[q]), int(pos[q]), int(last[q])
+    def exact_points(p):
+        if p not in exact:
+            lo_e, hi_e = start[p], start[p] + m[p]
+            exact[p] = _dyadic_prefix(x_all[lo_e:hi_e], slope[lo_e:hi_e - 1],
+                                      pts[pt_first[p]:pt_first[p + 1]] - lo_e)
+        return exact[p]
+
+    # Elimination passes: every point on or above the chord of its current
+    # neighbours is not a hull vertex, so all of them go at once; only the
+    # neighbours of deleted points need testing again.
+    prev = np.arange(len(pts)) - 1
+    succ = np.arange(len(pts)) + 1
+    ends = np.flatnonzero(np.diff(pp) != 0)
+    prev[0], succ[-1] = -1, -1
+    prev[ends + 1], succ[ends] = -1, -1
+    alive = np.ones(len(pts), dtype=bool)
+    work = np.flatnonzero((prev >= 0) & (succ >= 0))
+    while len(work):
+        left, right = prev[work], succ[work]
+        s1, e1 = _edge_slope(x, g, perr[work], left, work)
+        s2, e2 = _edge_slope(x, g, perr[work], work, right)
+        drop = ~(s1 + e1 < s2 - e2)
+        for t in np.flatnonzero(drop & ~(s1 - e1 > s2 + e2)).tolist():
+            p = int(pp[work[t]])
+            cx, cg = exact_points(p)
+            a, b, c = (int(v - pt_first[p]) for v in (left[t], work[t], right[t]))
+            drop[t] = not (cg[b] - cg[a]) * (cx[c] - cx[b]) < (cg[c] - cg[b]) * (cx[b] - cx[a])
+        gone = work[drop]
+        if not len(gone):
+            break
+        alive[gone] = False
+        # Unlink each run of consecutive deleted points.
+        joined = succ[gone[:-1]] == gone[1:]
+        left = prev[gone[np.concatenate(([True], ~joined))]]
+        right = succ[gone[np.concatenate((~joined, [True]))]]
+        succ[left], prev[right] = right, left
+        work = np.unique(np.concatenate((left, right)))
+        work = work[(prev[work] >= 0) & (succ[work] >= 0)]
+
+    # Made monotone, the bounds on each problem's hull edge slopes bracket
+    # the first edge with exact slope >= -k between two searchsorted
+    # positions; complex keys let one searchsorted serve every problem.
+    hull = np.flatnonzero(alive)
+    hp = pp[hull]
+    edge = np.flatnonzero(hp[1:] == hp[:-1])
+    s, e = _edge_slope(x, g, perr[hull[edge]], hull[edge], hull[edge + 1])
+    lower = np.maximum.accumulate(_keyed(hp[edge], np.fmax(s - e, -np.inf)))
+    upper = np.minimum.accumulate(_keyed(hp[edge], np.fmin(s + e, np.inf))[::-1])[::-1]
+    hull_first = np.searchsorted(hp, np.arange(len(m) + 1))
+    edge_first = hull_first[:-1] - np.arange(len(m))
+    queries = _keyed(q_problem, -np.asarray(k, dtype=np.float64))
+    pos = np.searchsorted(upper, queries, side="left") - edge_first[q_problem]
+    stop = np.searchsorted(lower, queries, side="left") - edge_first[q_problem]
+    verts: dict[int, list] = {}
+    for q in np.flatnonzero(pos < stop).tolist():
+        p = int(q_problem[q])
+        cx, cg = exact_points(p)
+        if p not in verts:
+            verts[p] = (hull[hull_first[p]:hull_first[p + 1]] - pt_first[p]).tolist()
+        kq, a, b = int(k[q]), int(pos[q]), int(stop[q])
         while a < b:
             mid = (a + b) // 2
-            u, v = hull[mid], hull[mid + 1]
+            u, v = verts[p][mid], verts[p][mid + 1]
             if cg[v] - cg[u] + kq * (cx[v] - cx[u]) < 0:
                 a = mid + 1
             else:
                 b = mid
         pos[q] = a
-    return x[np.array(hull)[pos]]
+    return x[hull[hull_first[q_problem] + pos]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,50 +475,76 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
     Raises :class:`EstimabilityError` if any cell has an instrument arm with
     fewer than two observations (leaving that row out would empty the arm).
     """
-    values = np.empty(sample.n, dtype=np.float64)
+    cells = list(sample.cell_index)
+    sizes = np.array([len(rows) for rows in sample.cell_index.values()])
+    rows = np.concatenate(list(sample.cell_index.values()))
+    cell = np.repeat(np.arange(len(cells)), sizes)
+    y = sample.outcomes[rows]
+    d = sample.treatments[rows].astype(np.intp)
+    z = sample.instruments[rows]
+    n_z1 = np.bincount(cell[z == 1], minlength=len(cells))
+    thin = np.flatnonzero(np.minimum(n_z1, sizes - n_z1) < 2)
+    if len(thin):
+        c = thin[0]
+        raise EstimabilityError(
+            f"cell x={cells[c]} needs at least 2 observations in each instrument arm "
+            f"for leave-one-out estimation (z-counts: {sizes[c] - n_z1[c]}, {n_z1[c]})")
+
+    # Group 2 * cell + d holds the treatment-d rows of a cell: the outcomes
+    # the map onto d minimizes over, and the query rows of the map onto
+    # 1 - d.  A map with queries also gets its bounds as group elements.
+    n_groups = 2 * len(cells)
+    has_queries = np.bincount(2 * cell + 1 - d, minlength=n_groups) > 0
+    lo = np.full(n_groups, np.nan)
+    hi = np.full(n_groups, np.nan)
+    queried = np.flatnonzero(has_queries)
+    for grp in queried.tolist():
+        lo[grp], hi[grp] = bounds.for_group(grp % 2, cells[grp // 2])
+    n = len(rows)
+    group = np.concatenate((2 * cell + d, queried, queried))
+    values = np.concatenate((y, lo[queried], hi[queried]))
+    order = np.argsort(values)   # ties within a group may come in any order
+    order = order[np.argsort(group[order], kind="stable")]
+    group, values = group[order], values[order]
+    is_row = order < n
+    src = order[is_row]   # rows, sorted by (group, y)
+    w_match = np.zeros(len(order), dtype=bool)
+    w_match[is_row] = (z == d)[src]
+    w_other = is_row & ~w_match
+
+    # Each row is a query of the map onto 1 - d; its sign sums count the
+    # other query rows of its group at or below its outcome, per arm (the
+    # matching arm of the map onto 1 - d is the other arm of its own group).
+    run_end = np.where(_run_ends(group, values), np.arange(len(order)), len(order))
+    tie_end = np.minimum.accumulate(run_end[::-1])[::-1][is_row]
+    qgroup = group[tie_end]
+    tot_m, le_m = _flagged_up_to(group, w_match, tie_end, n_groups)
+    tot_o, le_o = _flagged_up_to(group, w_other, tie_end, n_groups)
+    in_match = w_other[is_row]
+    # A query's own sign term is sign_left(0) = -1; removing it adds 1.
+    g_match = tot_o[qgroup] - 2 * le_o + in_match
+    g_other = tot_m[qgroup] - 2 * le_m + ~in_match
+    target = 1 - d[src]
+    qcell = cell[src]
+    n_match = np.where(target == 1, n_z1[qcell], sizes[qcell] - n_z1[qcell]) - in_match
+    n_other = sizes[qcell] - n_match - 1
+    k = n_match * g_other - n_other * g_match
+
+    # One problem per (map, arm of the left-out row) that has queries.
+    key = 2 * (qgroup ^ 1) + in_match
+    used = np.bincount(key, minlength=2 * n_groups) > 0
+    problems = np.flatnonzero(used)
+    q_problem = (np.cumsum(used) - 1)[key]
+    first = np.zeros(len(problems), dtype=np.intp)
+    first[q_problem] = np.arange(len(q_problem))
+    phi = _smallest_minimizers(values, group, w_match, w_other, lo, hi, problems // 2,
+                               n_match[first], n_other[first], q_problem, k)
+
+    targets = rows[src]
+    effects = np.empty(sample.n, dtype=np.float64)
+    effects[targets] = np.where(target == 1, phi - y[src], y[src] - phi)
     maps = np.empty(sample.n, dtype=np.int8)
+    maps[targets] = target
     minimizers = np.empty(sample.n, dtype=np.float64)
-    for cell, rows in sample.cell_index.items():
-        cell_y = sample.outcomes[rows]
-        cell_d = sample.treatments[rows]
-        cell_z = sample.instruments[rows]
-        n_z1 = int(cell_z.sum())
-        if min(n_z1, len(rows) - n_z1) < 2:
-            raise EstimabilityError(
-                f"cell x={cell} needs at least 2 observations in each instrument arm "
-                f"for leave-one-out estimation (z-counts: {len(rows) - n_z1}, {n_z1})")
-        for d in (0, 1):
-            # Query rows have treatment 1 - d: they form the two sign groups,
-            # and leaving one out only touches its sign sum and arm size.
-            query_pos = np.flatnonzero(cell_d == 1 - d)
-            if len(query_pos) == 0:
-                continue
-            lo, hi = bounds.for_group(d, cell)
-            abs_mask = cell_d == d
-            abs_y = cell_y[abs_mask]
-            abs_in_match = cell_z[abs_mask] == d
-            y_q = cell_y[query_pos]
-            in_match = cell_z[query_pos] == d
-            # Each query's own sign term is sign_left(0) = -1; removing it adds 1.
-            g_match = _sign_sum(np.sort(y_q[in_match]), y_q) + in_match
-            g_other = _sign_sum(np.sort(y_q[~in_match]), y_q) + ~in_match
-            n_match_full = int((cell_z == d).sum())
-            n_other_full = len(rows) - n_match_full
-            phi = np.empty(len(query_pos), dtype=np.float64)
-            for arm in (True, False):
-                sel = in_match == arm
-                if not sel.any():
-                    continue
-                n_match = n_match_full - arm
-                n_other = n_other_full - (not arm)
-                k = n_match * g_other[sel] - n_other * g_match[sel]
-                phi[sel] = _smallest_minimizers(abs_y, abs_in_match, float(lo), float(hi),
-                                                n_match, n_other, k)
-            targets = rows[query_pos]
-            if d == 1:
-                values[targets] = phi - y_q
-            else:
-                values[targets] = y_q - phi
-            maps[targets] = d
-            minimizers[targets] = phi
-    return PseudoIteVector(values=values, map_treatment=maps, minimizers=minimizers)
+    minimizers[targets] = phi
+    return PseudoIteVector(values=effects, map_treatment=maps, minimizers=minimizers)

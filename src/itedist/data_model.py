@@ -140,13 +140,13 @@ def _build_cell_index(x: np.ndarray) -> dict[Cell, np.ndarray]:
         rows = np.arange(n, dtype=np.intp)
         rows.setflags(write=False)
         return {(): rows}
-    _, inverse = np.unique(x, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.flatnonzero(np.diff(inverse[order])) + 1
+    # Stable lexicographic sort: cells in ascending covariate order, rows
+    # ascending within each cell.
+    order = np.lexsort(x.T[::-1])
+    ordered = x[order]
+    boundaries = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
     index: dict[Cell, np.ndarray] = {}
-    for chunk in np.split(order, boundaries):
-        rows = np.sort(chunk).astype(np.intp)
+    for rows in np.split(order.astype(np.intp), boundaries):
         rows.setflags(write=False)
         index[tuple(int(v) for v in x[rows[0]])] = rows
     return index

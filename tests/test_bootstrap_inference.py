@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from itedist import (BootstrapConfig, NORMAL_QUARTILE_SPREAD,
+                     bootstrap_inference, min_instrument_margin,
                      ReplicationError, Sample, bootstrap_pseudo_ites, ci_cdf,
                      ci_prob_positive, ci_quantile_and_iqr, compare_quantiles,
                      draw_replicates, estimate_bounds, generate, make_grid,
@@ -169,6 +173,55 @@ class TestBootstrapPseudoItes:
         assert reps.sorted_values.shape == (30, 4)
 
 
+@st.composite
+def multi_cell_samples(draw):
+    """Cells with negative codes (or none), each able to lose an arm in a resample."""
+    k = draw(st.integers(0, 2))
+    n_cells = 1 if k == 0 else draw(st.integers(1, 3))
+    y, d, z, x = [], [], [], []
+    for c in range(n_cells):
+        extra = draw(st.integers(0, 6))
+        size = 4 + extra
+        y += draw(st.lists(st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.5]),
+                           min_size=size, max_size=size))
+        d += [0, 1, 1, 0] + draw(st.lists(st.integers(0, 1), min_size=extra, max_size=extra))
+        z += [0, 1, 0, 1] + draw(st.lists(st.integers(0, 1), min_size=extra, max_size=extra))
+        x += [[-c - j for j in range(k)]] * size
+    return Sample(outcomes=y, treatments=d, instruments=z,
+                  covariates=np.array(x, dtype=int).reshape(len(y), k))
+
+
+class TestChunkedReplicates:
+    # Two cells of four rows, coded -1 and -2: most of their resamples lose an
+    # instrument arm, so replications of this seed redraw.
+    @example(Sample(outcomes=[1.0, 2.0, 3.0, 4.0, 1.5, 2.5, 2.5, 0.5],
+                    treatments=[0, 1, 1, 0] * 2, instruments=[0, 1, 0, 1] * 2,
+                    covariates=[[-1]] * 4 + [[-2]] * 4), 5, 7, 3)
+    @given(multi_cell_samples(), st.integers(0, 2 ** 32 - 1), st.integers(2, 9),
+           st.sampled_from([1, 3, None]))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_one_fit_per_resample(self, sample, seed, b, chunk_reps):
+        # One pseudo_ites call per chunk of stacked resamples must give each
+        # replication exactly what a fit of its resample alone gives.
+        bounds = estimate_bounds(sample)
+        # at worst six arms of two rows: about 1 in 18 draws keeps them all
+        cfg = BootstrapConfig(n_replications=b, seed=seed, max_redraws=1000)
+        rows = (bootstrap_inference._CHUNK_ROWS if chunk_reps is None
+                else chunk_reps * sample.n)
+        with mock.patch.object(bootstrap_inference, "_CHUNK_ROWS", rows):
+            reps = draw_replicates(sample, bounds, cfg, group=1)
+        redraws = 0
+        for r in range(b):
+            for attempt in range(cfg.max_redraws + 1):
+                draw = resample(sample, derive_stream(seed, r, 1, attempt))
+                if min_instrument_margin(draw) >= 2:
+                    break
+            redraws += attempt
+            assert np.array_equal(reps.sorted_values[r],
+                                  np.sort(pseudo_ites(draw, bounds).values))
+        assert reps.redraws == redraws
+
+
 class TestIntervals:
     def test_degenerate_interval_on_constant_sample(self):
         s = constant_outcome_sample()
@@ -307,11 +360,12 @@ class TestBands:
 
     def test_determinism_across_threads(self, bench_small):
         gen, bounds = bench_small
-        cfg = BootstrapConfig(n_replications=24, seed=14)
-        serial = draw_replicates(gen.sample, bounds, cfg, threads=1)
-        pooled = draw_replicates(gen.sample, bounds, cfg, threads=4)
-        assert np.array_equal(serial.sorted_values, pooled.sorted_values)
-        assert serial.redraws == pooled.redraws
+        for n_reps in (24, 60):   # 60 spans five chunks of n=300
+            cfg = BootstrapConfig(n_replications=n_reps, seed=14)
+            serial = draw_replicates(gen.sample, bounds, cfg, threads=1)
+            pooled = draw_replicates(gen.sample, bounds, cfg, threads=4)
+            assert np.array_equal(serial.sorted_values, pooled.sorted_values)
+            assert serial.redraws == pooled.redraws
 
 
 @pytest.fixture(scope="module")
@@ -404,13 +458,14 @@ class TestTwoGroup:
     def test_two_group_determinism_across_threads(self, groups):
         s0, b0, s1, b1 = groups
         grid = make_grid("levels", 0.3, 0.7, 5)
-        cfg = BootstrapConfig(n_replications=20, seed=20)
-        a = two_group_quantile_replicates(s0, s1, b0, b1, cfg, grid.points,
-                                          threads=1)
-        b = two_group_quantile_replicates(s0, s1, b0, b1, cfg, grid.points,
-                                          threads=3)
-        assert np.array_equal(a.boot0, b.boot0)
-        assert np.array_equal(a.boot1, b.boot1)
+        for n_reps in (20, 70):   # 70 spans three chunks of n=170
+            cfg = BootstrapConfig(n_replications=n_reps, seed=20)
+            a = two_group_quantile_replicates(s0, s1, b0, b1, cfg, grid.points,
+                                              threads=1)
+            b = two_group_quantile_replicates(s0, s1, b0, b1, cfg, grid.points,
+                                              threads=3)
+            assert np.array_equal(a.boot0, b.boot0)
+            assert np.array_equal(a.boot1, b.boot1)
 
     def test_reject_flag_consistency(self, groups):
         s0, b0, s1, b1 = groups

@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,15 @@ class TestSimulate:
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_max_redraws_rejected_before_coverage(self, tmp_path, capsys,
+                                                          monkeypatch):
+        import itedist.benchmark_sim
+        monkeypatch.setattr(itedist.benchmark_sim, "run_coverage", _unreachable)
+        code = run_cli("simulate", "table1", "--max-redraws", "-1", "--n", "120",
+                       "--reps", "1", "--B", "10", "--output", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
     def test_unknown_study(self, tmp_path):
         assert run_cli("simulate", "tableX",
                        "--output", str(tmp_path / "x.csv")) == 2
@@ -372,3 +385,19 @@ class TestReproducibility:
         cfg_path.write_text(json.dumps({"inptu": str(bench_csv)}))
         assert run_cli("analyze", "--config", str(cfg_path),
                        "--output", str(tmp_path / "x.json")) == 2
+
+
+def test_analyze_leaves_scipy_unloaded(bench_csv, tmp_path):
+    # scipy serves only the benchmark harness (simulate, oracle)
+    import itedist
+    script = ("import sys; from itedist.cli import main; "
+              "assert 'scipy' not in sys.modules, 'import'; code = main(sys.argv[1:]); "
+              "assert 'scipy' not in sys.modules, 'analyze'; sys.exit(code)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(itedist.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", script, "analyze", "--input", str(bench_csv),
+         "--bootstrap", "5", "--output", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -311,6 +311,10 @@ class TestExactOracle:
               [0, 1, 1, 0, 0, 1], [0, 1, 0, 1, 0, 1]))
     @example(([2.0, 1e8, 1e8, 1e-8, 1.0, 2.0, 1e-8],
               [0, 1, 1, 0, 1, 0, 0], [0, 1, 0, 1, 0, 0, 1]))
+    # Separated arms: every match-arm outcome of each map lies below every
+    # other-arm one, so each elimination pass deletes few chain points.
+    @example(([0.1, 0.3, 1.2, 1.4, 0.25, 0.15, 1.05, 1.3, 0.3, 1.2],
+              [0, 1, 1, 0, 0, 1, 0, 1, 1, 1], [0, 1, 0, 1, 0, 1, 1, 0, 1, 0]))
     @given(oracle_cells())
     @settings(max_examples=150, deadline=None)
     def test_smallest_exact_minimizer(self, cell):
@@ -423,6 +427,19 @@ class TestPseudoItes:
         bounds = estimate_bounds(gen.sample)
         started = time.perf_counter()
         vec = pseudo_ites(gen.sample, bounds)
+        assert time.perf_counter() - started < 10.0
+        assert np.all(np.isfinite(vec.values))
+
+    def test_separated_arms_cell(self):
+        # Elimination passes peel such a cell's chain a few points at a time.
+        rng = np.random.default_rng(4243)
+        n = 150_000
+        d, z = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        s = Sample(outcomes=rng.uniform(0.0, 1.0, n) + (z != d), treatments=d,
+                   instruments=z, covariates=np.zeros((n, 0), dtype=int))
+        bounds = estimate_bounds(s)
+        started = time.perf_counter()
+        vec = pseudo_ites(s, bounds)
         assert time.perf_counter() - started < 10.0
         assert np.all(np.isfinite(vec.values))
 

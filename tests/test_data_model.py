@@ -72,15 +72,22 @@ class TestSample:
         assert obs.y == two_cell_sample.outcomes[5]
         assert obs.x == tuple(two_cell_sample.covariates[5])
 
-    @given(st.permutations(list(range(12))))
+    @given(st.permutations(list(range(12))), st.sampled_from([0, -2]))
     @settings(max_examples=25, deadline=None)
-    def test_partition_invariant_under_permutation(self, perm):
+    def test_partition_invariant_under_permutation(self, perm, low):
         rng = np.random.default_rng(7)
         base = Sample(outcomes=rng.uniform(0, 1, 12), treatments=rng.integers(0, 2, 12),
                       instruments=rng.integers(0, 2, 12),
-                      covariates=rng.integers(0, 3, (12, 2)))
+                      covariates=rng.integers(low, low + 3, (12, 2)))
         shuffled = base.take(perm)
         assert sum(len(r) for r in shuffled.cell_index.values()) == 12
+        # cells in ascending covariate order, rows ascending within each
+        expected: dict = {}
+        for i, row in enumerate(shuffled.covariates.tolist()):
+            expected.setdefault(tuple(row), []).append(i)
+        assert list(shuffled.cell_index) == sorted(expected)
+        for cell, rows in shuffled.cell_index.items():
+            assert rows.tolist() == expected[cell]
 
 
 class TestIngest:
