@@ -28,7 +28,7 @@ from scipy.special import ndtr, ndtri
 
 from ._rng import derive_seed, derive_stream, parallel_map
 from .bootstrap_inference import (BootstrapConfig, BootstrapReplicates,
-                                  IntervalResult, ReplicationError, _cdf_columns,
+                                  IntervalResult, ReplicationError, _cdf_curves,
                                   _quantile_columns, _rank_index, ci_cdf,
                                   ci_prob_positive, ci_quantile_and_iqr,
                                   draw_replicates, ucb_cdf_constant,
@@ -463,38 +463,51 @@ def _interpolated_bp_band(boot_cdf: np.ndarray, alpha: float) -> tuple[np.ndarra
     return srt[_rank_index(b, alpha / 2.0), :], srt[_rank_index(b, 1.0 - alpha / 2.0), :]
 
 
+def _truth(target: StudyTarget, oracle: DgpOracle) -> float | np.ndarray:
+    """The closed-form value of what ``target`` estimates."""
+    kind, grid = target.kind, target.grid
+    if kind in ("cdf-ci", "cdf-ci-naive"):
+        return oracle.cdf(target.v)
+    if kind in ("cdf-band", "cdf-band-interpolated"):
+        return oracle.cdf(grid.points)
+    if kind == "quantile-band":
+        return oracle.quantile(grid.points)
+    if kind == "quantile-ci":
+        return oracle.quantile(target.tau)
+    if kind == "iqr-ci":
+        return oracle.iqr()
+    return 1.0 - oracle.cdf(0.0)
+
+
 def _evaluate_target(target: StudyTarget, level: float,
                      reps: BootstrapReplicates | None,
-                     point_sorted: np.ndarray, oracle: DgpOracle) -> tuple[bool, float]:
+                     point_sorted: np.ndarray,
+                     truth: float | np.ndarray) -> tuple[bool, float]:
     """(covered, length) of one product on one generated sample."""
     alpha = 1.0 - level
     kind, grid = target.kind, target.grid
-    if kind == "cdf-ci-naive":
-        interval = naive_ci_cdf(point_sorted, target.v, alpha)
-        return (interval.lo <= oracle.cdf(target.v) <= interval.hi, interval.length)
     if kind == "cdf-band-interpolated":
-        lo, hi = _interpolated_bp_band(_cdf_columns(reps.sorted_values, grid.points),
-                                       alpha)
-        truth = oracle.cdf(grid.points)
+        lo, hi = _interpolated_bp_band(_cdf_curves(reps, grid)[1], alpha)
         return (bool(np.all((lo <= truth) & (truth <= hi))), float((hi - lo).mean()))
     if kind == "cdf-band":
         product = ucb_cdf_constant if target.band == "constant" else ucb_cdf_variable
         band = product(reps, alpha, grid)
-        return (band.covers(oracle.cdf(grid.points)), band.average_width)
+        return (band.covers(truth), band.average_width)
     if kind == "quantile-band":
         product = (ucb_quantile_constant if target.band == "constant"
                    else ucb_quantile_variable)
         band = product(reps, alpha, grid)
-        return (band.covers(oracle.quantile(grid.points)), band.average_width)
+        return (band.covers(truth), band.average_width)
     if kind == "cdf-ci":
-        interval, truth = ci_cdf(reps, alpha, target.v), oracle.cdf(target.v)
+        interval = ci_cdf(reps, alpha, target.v)
+    elif kind == "cdf-ci-naive":
+        interval = naive_ci_cdf(point_sorted, target.v, alpha)
     elif kind == "quantile-ci":
         interval = ci_quantile_and_iqr(reps, alpha, target.tau)[0]
-        truth = oracle.quantile(target.tau)
     elif kind == "iqr-ci":
-        interval, truth = ci_quantile_and_iqr(reps, alpha, 0.5)[1], oracle.iqr()
+        interval = ci_quantile_and_iqr(reps, alpha, 0.5)[1]
     else:
-        interval, truth = ci_prob_positive(reps, alpha), 1.0 - oracle.cdf(0.0)
+        interval = ci_prob_positive(reps, alpha)
     return (interval.lo <= truth <= interval.hi, interval.length)
 
 
@@ -513,6 +526,7 @@ def run_coverage(targets, n: int, reps: int, levels, b: int, seed: int,
         raise ValueError("need at least one Monte Carlo replication")
     levels = [float(l) for l in np.atleast_1d(levels)]
     oracle = DgpOracle()
+    truths = [_truth(t, oracle) for t in targets]
     any_bootstrap = any(t.needs_bootstrap for t in targets)
 
     def one(k: int):
@@ -529,8 +543,8 @@ def run_coverage(targets, n: int, reps: int, levels, b: int, seed: int,
                 point_sorted = np.sort(pseudo_ites(gen.sample, bounds).values)
         except (ReplicationError, EstimabilityError):   # counted, not fatal
             return None
-        return [[_evaluate_target(t, level, rep_set, point_sorted, oracle)
-                 for level in levels] for t in targets]
+        return [[_evaluate_target(t, level, rep_set, point_sorted, truth)
+                 for level in levels] for t, truth in zip(targets, truths)]
 
     outcomes = parallel_map(one, range(reps), threads)
     failures = sum(1 for o in outcomes if o is None)

@@ -11,7 +11,11 @@ are split back out before sorting.  A row's effect depends only on its cell,
 so the chunking never changes a result.  Every
 inference product is a pure function of one such replicate set and the
 level and grid it is asked for: it reads off percentile intervals or
-sup-statistic critical values from the replication order statistics.
+sup-statistic critical values from the replication order statistics.  The
+empirical CDF curves over a value grid depend on neither, so a replicate
+set computes them on first use and keeps them per grid object; asking for
+a CDF band at several levels, or for both widths, scans the replications
+once.
 Interval endpoints are exact order statistics at ranks ``ceil(B * alpha / 2)``
 and ``ceil(B * (1 - alpha / 2))``; no interpolation anywhere.
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,6 +220,9 @@ class BootstrapReplicates:
     sorted_values: np.ndarray     # (B, n), each row ascending
     point_sorted: np.ndarray      # (n,), original-sample pseudo-ITEs, ascending
     redraws: int
+    # Empirical CDF curves by value grid, filled by the first product that
+    # needs them (see ``_cdf_curves``).
+    _cdf_by_grid: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def b_used(self) -> int:
@@ -389,10 +396,20 @@ def _check_grid(grid: Grid, kind: str) -> None:
 
 def _cdf_curves(reps: BootstrapReplicates,
                 grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Original and per-replication empirical CDFs over a value grid."""
+    """Original and per-replication empirical CDFs over a value grid.
+
+    They depend on neither the level nor the band, so the replicate set
+    keeps them, read-only, for each grid object they were asked for.
+    """
     _check_grid(grid, "values")
-    return (_cdf_columns(reps.point_sorted, grid.points),
-            _cdf_columns(reps.sorted_values, grid.points))
+    curves = reps._cdf_by_grid.get(grid)
+    if curves is None:
+        curves = (_cdf_columns(reps.point_sorted, grid.points),
+                  _cdf_columns(reps.sorted_values, grid.points))
+        for curve in curves:
+            curve.setflags(write=False)
+        reps._cdf_by_grid[grid] = curves
+    return curves
 
 
 def _quantile_curves(reps: BootstrapReplicates,

@@ -143,7 +143,8 @@ def _require(resolved: dict, *keys: str) -> None:
 
 
 def _validate_common(resolved: dict) -> None:
-    """Value checks shared by ``analyze`` and ``compare``, run before ingest."""
+    """Value checks shared by ``analyze`` and ``compare``, run before ingest,
+    and the warning of a B too small for the level."""
     _require(resolved, "alpha", "bootstrap", "max-redraws", "tau", "tau-range",
              "grid-size")
     if not 0.0 < resolved["alpha"] < 1.0:
@@ -164,6 +165,17 @@ def _validate_common(resolved: dict) -> None:
             raise ConfigError(f"v-range must satisfy lo < hi, got [{lo}, {hi}]")
     if resolved["grid-size"] < 2:
         raise ConfigError(f"grid-size must be >= 2, got {resolved['grid-size']}")
+    _warn_small_bootstrap(resolved["bootstrap"], resolved["alpha"])
+
+
+def _warn_small_bootstrap(b: int, alpha: float) -> None:
+    """Say when ``b`` replications leave no order statistic in either tail at
+    level ``1 - alpha``: the interval endpoints are then the smallest and the
+    largest replication."""
+    if b * alpha / 2.0 < 1.0:
+        logger.warning("B=%d is too small for level %g (B * alpha / 2 < 1): interval "
+                       "endpoints are the smallest and largest replications",
+                       b, 1.0 - alpha)
 
 
 def _column_map(resolved: dict) -> ColumnMap:
@@ -447,6 +459,7 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
         raise ConfigError(f"bootstrap replications must be >= 2, got {resolved['bootstrap']}")
     if resolved["max-redraws"] < 0:
         raise ConfigError(f"max-redraws must be >= 0, got {resolved['max-redraws']}")
+    _warn_small_bootstrap(resolved["bootstrap"], 1.0 - max(resolved["levels"], default=0.0))
     reports = run_coverage(_study_targets(resolved), n=resolved["n"],
                            reps=resolved["reps"], levels=resolved["levels"],
                            b=resolved["bootstrap"], seed=resolved["seed"],

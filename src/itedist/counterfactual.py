@@ -47,13 +47,16 @@ fit costs a fixed number of array operations per pass, not per problem:
 * one ``searchsorted`` over every problem's monotone bounds on its hull edge
   slopes, keyed by problem, answers every query.
 
-The result is exact, not merely close.  Every float hull and slope test
-carries an error bound built from the magnitudes of the terms its problem's
-``F`` sums (``sum |slope_j| * width_j``), which holds for any order in which
-a problem's own terms are summed; a test that bound cannot settle is decided
-in integer arithmetic over one power-of-two denominator (floats are dyadic
-rationals), built once per problem and O(1) per test.  Flat segments and
-exact ties therefore always resolve to their leftmost point.
+The result is exact, not merely close.  An edge between adjacent candidates
+spans one segment, so its slope is that segment's integer slope, exact in
+float below ``2**53``; a query whose ``-K`` ties it is settled by the float
+bracket alone.  Every other float hull and slope test carries an error bound
+built from the magnitudes of the terms its problem's ``F`` sums (``sum
+|slope_j| * width_j``), which holds for any order in which a problem's own
+terms are summed; a test that bound cannot settle is decided in integer
+arithmetic over one power-of-two denominator (floats are dyadic rationals),
+built once per problem and O(1) per test.  Flat segments and exact ties
+therefore always resolve to their leftmost point.
 :func:`minimize_objective` calls the same kernel with one problem and one
 query.
 
@@ -282,16 +285,21 @@ def _dyadic_prefix(cands: np.ndarray, slopes: np.ndarray, pts) -> tuple[list, li
     return [xs[p] for p in pts], [rises[p] for p in pts]
 
 
-def _edge_slope(x, g, err, a, b):
+def _edge_slope(x, g, err, a, b, at, unit):
     """Slope of ``g`` from points ``a`` to points ``b`` and a bound on its error.
 
     ``err`` bounds the error of every float ``g`` involved; the other terms
     cover the roundings in the width, the difference, the division and a
-    later comparison.
+    later comparison.  ``at`` holds each point's position among its
+    problem's candidates: an edge between adjacent candidates spans one
+    segment, so its slope is that segment's integer slope ``unit[a]``, with
+    no error wherever that is finite.
     """
     width = x[b] - x[a]
     slope = (g[b] - g[a]) / width
-    return slope, 2.02 * err / width + 6.0 * _UNIT * np.abs(slope) + _TINY
+    bound = 2.02 * err / width + 6.0 * _UNIT * np.abs(slope) + _TINY
+    one = (at[b] - at[a] == 1) & np.isfinite(unit[a])
+    return np.where(one, unit[a], slope), np.where(one, 0.0, bound)
 
 
 def _run_ends(group: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -369,6 +377,8 @@ def _smallest_minimizers(y, group, w_match, w_other, lo, hi, p_group, p_n_match,
     pts = np.flatnonzero(is_pt)
     x, g, pp = x_all[pts], g_all[pts], prob[pts]
     perr = err[pp]
+    # The integer slope right of each point, where a float holds it exactly.
+    unit = np.where(np.abs(slope[pts]) < 2 ** 53, slope[pts], np.inf)
     pt_first = np.searchsorted(pp, np.arange(len(m) + 1))
 
     exact: dict[int, tuple[list, list]] = {}   # built at a problem's first doubtful test
@@ -392,8 +402,8 @@ def _smallest_minimizers(y, group, w_match, w_other, lo, hi, p_group, p_n_match,
     work = np.flatnonzero((prev >= 0) & (succ >= 0))
     while len(work):
         left, right = prev[work], succ[work]
-        s1, e1 = _edge_slope(x, g, perr[work], left, work)
-        s2, e2 = _edge_slope(x, g, perr[work], work, right)
+        s1, e1 = _edge_slope(x, g, perr[work], left, work, pts, unit)
+        s2, e2 = _edge_slope(x, g, perr[work], work, right, pts, unit)
         drop = ~(s1 + e1 < s2 - e2)
         for t in np.flatnonzero(drop & ~(s1 - e1 > s2 + e2)).tolist():
             p = int(pp[work[t]])
@@ -418,7 +428,7 @@ def _smallest_minimizers(y, group, w_match, w_other, lo, hi, p_group, p_n_match,
     hull = np.flatnonzero(alive)
     hp = pp[hull]
     edge = np.flatnonzero(hp[1:] == hp[:-1])
-    s, e = _edge_slope(x, g, perr[hull[edge]], hull[edge], hull[edge + 1])
+    s, e = _edge_slope(x, g, perr[hull[edge]], hull[edge], hull[edge + 1], pts, unit)
     lower = np.maximum.accumulate(_keyed(hp[edge], np.fmax(s - e, -np.inf)))
     upper = np.minimum.accumulate(_keyed(hp[edge], np.fmin(s + e, np.inf))[::-1])[::-1]
     hull_first = np.searchsorted(hp, np.arange(len(m) + 1))

@@ -12,7 +12,6 @@ import csv
 import json
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 REPORT_VERSION = 1
@@ -143,6 +142,10 @@ class ReportDocument:
         })
 
     def to_json(self) -> str:
+        # Imported on first validation, so a command that writes no JSON
+        # report never loads it.
+        import jsonschema
+
         document = self.to_dict()
         jsonschema.validate(document, REPORT_SCHEMA)
         return json.dumps(document, indent=2, sort_keys=True) + "\n"

@@ -203,6 +203,37 @@ class TestRunCoverage:
         assert len(reports) == 5
         assert all(np.isfinite(r.avg_length) for r in reports)
 
+    # At B=20 the variable band's studentizer is floored in the grid's tails.
+    @pytest.mark.filterwarnings("ignore:bootstrap spread:RuntimeWarning")
+    def test_table2_scores_each_sample_once_per_grid(self, monkeypatch):
+        # The table2 targets share one value grid; neither the replications'
+        # CDF curves nor the truth depend on the level.
+        from itedist import bootstrap_inference
+        curves, grid_truths = [], []
+        cdf_columns, cdf = bootstrap_inference._cdf_columns, DgpOracle.cdf
+
+        def counted_columns(sorted_rows, points):
+            if np.ndim(sorted_rows) == 2:
+                curves.append(points)
+            return cdf_columns(sorted_rows, points)
+
+        def counted_cdf(self, v):
+            if np.ndim(v):
+                grid_truths.append(v)
+            return cdf(self, v)
+
+        monkeypatch.setattr(bootstrap_inference, "_cdf_columns", counted_columns)
+        monkeypatch.setattr(DgpOracle, "cdf", counted_cdf)
+        grid = make_grid("values", 0.04, 3.96, 393)
+        targets = [StudyTarget(kind="cdf-band", grid=grid, band="constant"),
+                   StudyTarget(kind="cdf-band", grid=grid, band="variable"),
+                   StudyTarget(kind="cdf-band-interpolated", grid=grid)]
+        reports = run_coverage(targets, n=150, reps=3, levels=[0.9, 0.95, 0.99],
+                               b=20, seed=34)
+        assert all(r.failures == 0 for r in reports)
+        assert len(curves) == 3
+        assert len(grid_truths) <= len(targets)
+
     def test_target_validation(self):
         with pytest.raises(ValueError):
             StudyTarget(kind="cdf-ci")            # missing v

@@ -331,6 +331,27 @@ class TestBands:
         with pytest.warns(RuntimeWarning, match="floored"):
             band = ucb_quantile_variable(reps, 0.05, grid)
         assert np.all(band.half_width == 0.0)
+        # The set keeps its CDF curves, but every call warns again.
+        values = make_grid("values", -1.0, 1.0, 5)
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="floored"):
+                ucb_cdf_variable(reps, 0.05, values)
+
+    def test_cdf_bands_from_a_reused_set_equal_fresh_ones(self, bench_small):
+        gen, bounds = bench_small
+        reps = draw_replicates(gen.sample, bounds,
+                               BootstrapConfig(n_replications=40, seed=15))
+        grids = (make_grid("values", 0.1, 3.5, 30), make_grid("values", 0.5, 2.0, 7))
+        for alpha in (0.1, 0.05):
+            for grid in grids:
+                for product in (ucb_cdf_constant, ucb_cdf_variable):
+                    fresh = bootstrap_inference.BootstrapReplicates(
+                        sorted_values=reps.sorted_values.copy(),
+                        point_sorted=reps.point_sorted.copy(), redraws=reps.redraws)
+                    reused, new = product(reps, alpha, grid), product(fresh, alpha, grid)
+                    assert reused.critical_value == new.critical_value
+                    assert np.array_equal(reused.center, new.center)
+                    assert np.array_equal(reused.half_width, new.half_width)
 
     def test_cdf_variable_band_runs(self, bench_small):
         gen, bounds = bench_small

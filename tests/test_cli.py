@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -387,17 +388,51 @@ class TestReproducibility:
                        "--output", str(tmp_path / "x.json")) == 2
 
 
-def test_analyze_leaves_scipy_unloaded(bench_csv, tmp_path):
-    # scipy serves only the benchmark harness (simulate, oracle)
+def _run_without(module: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter that exits nonzero if importing
+    ``itedist.cli`` or running the command loads ``module``."""
     import itedist
     script = ("import sys; from itedist.cli import main; "
-              "assert 'scipy' not in sys.modules, 'import'; code = main(sys.argv[1:]); "
-              "assert 'scipy' not in sys.modules, 'analyze'; sys.exit(code)")
+              f"assert {module!r} not in sys.modules, 'import'; code = main(sys.argv[1:]); "
+              f"assert {module!r} not in sys.modules, sys.argv[1]; sys.exit(code)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(itedist.__file__).parent.parent), env.get("PYTHONPATH", "")])
-    result = subprocess.run(
-        [sys.executable, "-c", script, "analyze", "--input", str(bench_csv),
-         "--bootstrap", "5", "--output", str(tmp_path / "r.json")],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_analyze_leaves_scipy_unloaded(bench_csv, tmp_path):
+    # scipy serves only the benchmark harness (simulate, oracle)
+    result = _run_without("scipy", ["analyze", "--input", str(bench_csv), "--bootstrap",
+                                    "5", "--output", str(tmp_path / "r.json")])
     assert result.returncode == 0, result.stderr
+
+
+def test_simulate_leaves_jsonschema_unloaded(tmp_path):
+    # jsonschema only validates JSON reports, and simulate writes CSV
+    result = _run_without("jsonschema", ["simulate", "table1", "--n", "120", "--reps", "2",
+                                         "--B", "10", "--output", str(tmp_path / "t1.csv")])
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("b, warned", [(5, True), (200, False)])
+@pytest.mark.parametrize("command", ["analyze", "compare", "simulate"])
+def test_small_bootstrap_warned_once(command, b, warned, bench_csv, split_csv,
+                                     tmp_path, caplog):
+    # At level 0.99, B * alpha / 2 < 1 leaves no replication in either tail,
+    # so the interval endpoints are the smallest and largest replications.
+    argv = {
+        "analyze": ["analyze", "--input", str(bench_csv), "--alpha", "0.01",
+                    "--report", "quantile"],
+        "compare": ["compare", "--input", str(split_csv), "--covariate-cols", "grp",
+                    "--group0", "grp=0", "--group1", "grp=1", "--alpha", "0.01",
+                    "--grid-size", "5"],
+        "simulate": ["simulate", "table1", "--n", "120", "--reps", "1",
+                     "--levels", "0.9,0.99"],
+    }[command]
+    with caplog.at_level(logging.WARNING, logger="itedist"):
+        assert run_cli(*argv, "--B", str(b), "--output", str(tmp_path / "out")) == 0
+    too_small = [r.getMessage() for r in caplog.records if "too small" in r.getMessage()]
+    assert len(too_small) == warned
+    assert all(f"B={b} is too small for level 0.99" in m for m in too_small)

@@ -315,6 +315,9 @@ class TestExactOracle:
     # other-arm one, so each elimination pass deletes few chain points.
     @example(([0.1, 0.3, 1.2, 1.4, 0.25, 0.15, 1.05, 1.3, 0.3, 1.2],
               [0, 1, 1, 0, 0, 1, 0, 1, 1, 1], [0, 1, 0, 1, 0, 1, 1, 0, 1, 0]))
+    # Integer outcomes: some queries' -K equals the integer slope of a hull
+    # edge between adjacent candidates, so their minimum is flat.
+    @example(([1.0, 3.0, 2.0, 0.0, 2.0], [0, 1, 1, 0, 0], [0, 1, 0, 1, 0]))
     @given(oracle_cells())
     @settings(max_examples=150, deadline=None)
     def test_smallest_exact_minimizer(self, cell):
