@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -391,17 +392,31 @@ class IngestResult:
     label_codes: dict[str, dict[str, int]]
 
 
-def _parse_binary(raw: str, column: str, row_number: int) -> int:
-    text = raw.strip()
-    try:
-        value = float(text)
-    except ValueError:
-        raise IngestError(
-            f"row {row_number}: column {column!r} must be 0 or 1, got {raw!r}")
+def _binary(raw: str) -> int:
+    value = float(raw.strip())
     if value not in (0.0, 1.0):
-        raise IngestError(
-            f"row {row_number}: column {column!r} must be 0 or 1, got {raw!r}")
+        raise ValueError(raw)
     return int(value)
+
+
+def _parse_distinct(values, parse) -> dict:
+    """``{raw: parse(raw)}`` over the distinct values, None where it fails."""
+    parsed = {}
+    for raw in set(values):
+        try:
+            parsed[raw] = parse(raw)
+        except ValueError:
+            parsed[raw] = None
+    return parsed
+
+
+def _first_row(values, bad: set) -> int:
+    """Position of the first value in ``bad``, or ``len(values)``."""
+    if bad:
+        for i, value in enumerate(values):
+            if value in bad:
+                return i
+    return len(values)
 
 
 def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
@@ -411,8 +426,16 @@ def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
     as read; any other label is assigned a stable integer code, reported in
     the result.  Every malformed value aborts ingestion with the offending
     data row number (1-based, excluding the header).
+
+    A leading UTF-8 byte-order mark, as spreadsheet programs write, is
+    skipped.  The rows are read once and then checked and converted column
+    by column, each check against the distinct raw values of its column.
+    The error raised is the one a row-by-row reader would meet first: the
+    earliest failing row, and within a row the field count, then blank
+    fields in column-map order, then a non-numeric or non-finite outcome,
+    then the treatment, then the instrument.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -424,56 +447,58 @@ def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
         missing = [c for c in wanted if c not in header]
         if missing:
             raise IngestError(f"{path}: missing column(s) {missing}")
-        positions = {c: header.index(c) for c in wanted}
+        rows = list(reader)
 
-        outcomes: list[float] = []
-        treatments: list[int] = []
-        instruments: list[int] = []
-        raw_covariates: list[list[str]] = []
-        for row_number, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise IngestError(
-                    f"row {row_number}: expected {len(header)} fields, got {len(row)}")
-            fields = {c: row[positions[c]] for c in wanted}
-            for column, value in fields.items():
-                if value.strip() == "":
-                    raise IngestError(f"row {row_number}: column {column!r} is missing")
-            raw_y = fields[column_map.outcome]
-            try:
-                y = float(raw_y)
-            except ValueError:
-                raise IngestError(
-                    f"row {row_number}: column {column_map.outcome!r} must be numeric, "
-                    f"got {raw_y!r}")
-            if not math.isfinite(y):
-                raise IngestError(
-                    f"row {row_number}: column {column_map.outcome!r} must be finite, "
-                    f"got {raw_y!r}")
-            outcomes.append(y)
-            treatments.append(_parse_binary(fields[column_map.treatment],
-                                            column_map.treatment, row_number))
-            instruments.append(_parse_binary(fields[column_map.instrument],
-                                             column_map.instrument, row_number))
-            raw_covariates.append([fields[c].strip() for c in column_map.covariates])
-
-    if not outcomes:
+    # The rows before the first one with the wrong field count, as columns
+    # (``itemgetter`` rather than ``zip(*rows)``, which holds an iterator,
+    # a garbage-collected object, for every row at once).
+    n = next((i for i, row in enumerate(rows) if len(row) != len(header)), len(rows))
+    columns = {c: list(map(itemgetter(header.index(c)), rows[:n])) for c in wanted}
+    outcomes = _parse_distinct(columns[column_map.outcome], float)
+    treatments = _parse_distinct(columns[column_map.treatment], _binary)
+    instruments = _parse_distinct(columns[column_map.instrument], _binary)
+    checks = [(c, {v for v in set(columns[c]) if not v.strip()}, "is missing")
+              for c in dict.fromkeys(wanted)]
+    checks += [
+        (column_map.outcome, {v for v, y in outcomes.items() if y is None},
+         "must be numeric, got {!r}"),
+        (column_map.outcome,
+         {v for v, y in outcomes.items() if y is not None and not math.isfinite(y)},
+         "must be finite, got {!r}"),
+        (column_map.treatment, {v for v, d in treatments.items() if d is None},
+         "must be 0 or 1, got {!r}"),
+        (column_map.instrument, {v for v, z in instruments.items() if z is None},
+         "must be 0 or 1, got {!r}"),
+    ]
+    # the first failing row of each check; on one row the earlier check wins
+    i, _, column, message = min((_first_row(columns[c], bad), rank, c, message)
+                                for rank, (c, bad, message) in enumerate(checks))
+    if i < n:
+        raise IngestError(f"row {i + 1}: column {column!r} "
+                          + message.format(columns[column][i]))
+    if n < len(rows):
+        raise IngestError(f"row {n + 1}: expected {len(header)} fields, got {len(rows[n])}")
+    if not rows:
         raise IngestError(f"{path}: no data rows")
 
     label_codes: dict[str, dict[str, int]] = {}
-    n = len(outcomes)
-    k = len(column_map.covariates)
-    coded = np.zeros((n, k), dtype=np.int64)
+    coded = np.zeros((n, len(column_map.covariates)), dtype=np.int64)
     for j, column in enumerate(column_map.covariates):
-        values = [raw_covariates[i][j] for i in range(n)]
+        values = list(map(str.strip, columns[column]))
         try:
-            coded[:, j] = [int(v) for v in values]
+            coded[:, j] = list(map(int, values))
         except ValueError:
             mapping = {label: code for code, label in enumerate(sorted(set(values)))}
-            coded[:, j] = [mapping[v] for v in values]
+            coded[:, j] = list(map(mapping.__getitem__, values))
             label_codes[column] = mapping
 
-    sample = Sample(outcomes=np.array(outcomes), treatments=np.array(treatments),
-                    instruments=np.array(instruments), covariates=coded)
+    sample = Sample(
+        outcomes=np.array(list(map(outcomes.__getitem__, columns[column_map.outcome]))),
+        treatments=np.array(list(map(treatments.__getitem__,
+                                     columns[column_map.treatment]))),
+        instruments=np.array(list(map(instruments.__getitem__,
+                                      columns[column_map.instrument]))),
+        covariates=coded)
     return IngestResult(sample=sample, column_map=column_map, label_codes=label_codes)
 
 

@@ -5,11 +5,20 @@ canonical (sorted keys, native floats), so a rerun with the same settings is
 byte-identical; the ``reproducibility`` block holds everything needed to do
 that rerun.  Volatile diagnostics (wall time, redraw progress) go to the
 logger, never into the file.
+
+Every JSON report is checked against :data:`REPORT_SCHEMA` before it is
+written, by a small checker here rather than the ``jsonschema`` package, so no
+command loads it.  The checker implements the keywords the schema uses
+(``type``, ``const``, ``required``, ``properties``, ``additionalProperties:
+false``, ``items``) with JSON Schema Draft 2020-12 semantics and refuses any
+other keyword; a document that fails raises ``ValueError`` naming the JSON
+path of the offending value.
 """
 from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +73,54 @@ REPORT_SCHEMA = {
         },
     },
 }
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    # JSON has no booleans among its numbers, and 1.0 is an integer.
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+}
+_KEYWORDS = {"type", "const", "required", "properties", "additionalProperties",
+             "items"}
+
+
+def _check(value, schema: dict, path: str = "$") -> None:
+    """Raise ``ValueError`` where ``value`` does not match ``schema``.
+
+    Draft 2020-12 semantics for the keywords in ``_KEYWORDS`` only (``const``
+    a scalar, ``additionalProperties`` false); a schema node using anything
+    else raises ``NotImplementedError``, so the schema cannot outgrow it.
+    """
+    if (set(schema) - _KEYWORDS or schema.get("type", "object") not in _TYPES
+            or schema.get("additionalProperties", False) is not False
+            or isinstance(schema.get("const"), (dict, list))):
+        raise NotImplementedError(f"report schema node not supported: {schema!r}")
+
+    def fail(reason: str):
+        raise ValueError(f"report does not match its schema at {path}: {reason}")
+
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        fail(f"expected {schema['type']}, got {value!r}")
+    if "const" in schema and (isinstance(value, bool) != isinstance(schema["const"], bool)
+                              or value != schema["const"]):
+        fail(f"expected {schema['const']!r}, got {value!r}")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            fail(f"missing key(s) {missing}")
+        if "additionalProperties" in schema and set(value) - set(properties):
+            fail(f"unexpected key(s) {sorted(set(value) - set(properties))}")
+        for key, subschema in properties.items():
+            if key in value:
+                _check(value[key], subschema, f"{path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check(item, schema["items"], f"{path}[{i}]")
 
 
 def _jsonable(value):
@@ -142,17 +199,14 @@ class ReportDocument:
         })
 
     def to_json(self) -> str:
-        # Imported on first validation, so a command that writes no JSON
-        # report never loads it.
-        import jsonschema
-
         document = self.to_dict()
-        jsonschema.validate(document, REPORT_SCHEMA)
+        _check(document, REPORT_SCHEMA)
         return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
     def write_json(self, path) -> None:
+        text = self.to_json()   # checked before the file is created
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
+            handle.write(text)
 
     def write_csv(self, path) -> None:
         """Flat CSV with the point estimates, intervals, and test decisions."""

@@ -416,6 +416,41 @@ def test_simulate_leaves_jsonschema_unloaded(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def _report_argv(command, bench_csv, split_csv, tmp_path) -> list[str]:
+    """A small run of ``command`` that writes a JSON report."""
+    return {
+        "analyze": ["analyze", "--input", str(bench_csv), "--bootstrap", "5",
+                    "--report", "quantile,bands", "--grid-size", "5",
+                    "--output", str(tmp_path / "r.json")],
+        "compare": ["compare", "--input", str(split_csv), "--covariate-cols", "grp",
+                    "--group0", "grp=0", "--group1", "grp=1", "--bootstrap", "5",
+                    "--grid-size", "5", "--output", str(tmp_path / "r.json")],
+        "oracle": ["oracle", "--tau", "0.5", "--format", "json"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "oracle"])
+def test_report_command_leaves_jsonschema_unloaded(command, bench_csv, split_csv,
+                                                   tmp_path):
+    # reports are checked against their schema without the jsonschema package
+    result = _run_without("jsonschema", _report_argv(command, bench_csv, split_csv,
+                                                     tmp_path))
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "oracle"])
+def test_report_failing_its_schema_is_data_error(command, bench_csv, split_csv, tmp_path,
+                                                 capsys, monkeypatch):
+    import itedist.reports
+    monkeypatch.setattr(itedist.reports, "REPORT_VERSION", 2)   # the schema wants 1
+    code = run_cli(*_report_argv(command, bench_csv, split_csv, tmp_path))
+    assert code == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "data" and "$.report_version" in err["message"]
+    assert captured.out == "" and not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("b, warned", [(5, True), (200, False)])
 @pytest.mark.parametrize("command", ["analyze", "compare", "simulate"])
 def test_small_bootstrap_warned_once(command, b, warned, bench_csv, split_csv,

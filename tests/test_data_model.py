@@ -1,9 +1,12 @@
 """Sample construction, CSV ingestion, bounds, estimability, selection."""
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from itedist import (Bounds, ColumnMap, EmptySelectionError, EstimabilityError,
@@ -90,6 +93,82 @@ class TestSample:
             assert rows.tolist() == expected[cell]
 
 
+# Field values for the columns y, d, z, g, h: valid ones (``g`` integer codes
+# or labels, ``h`` a label) and injected faults.
+_VALID = (["1.5", "0", "-0", "-2.25", " 3 ", "1e3", "1_0"],
+          ["0", "1", "1.0", " 1", "-0", "1e0", "0_1"],
+          ["0", "1", "0.0", "1 ", "-0"],
+          ["0", "1", "-3", " 2 ", "a", " a", "b"],
+          ["x", "y"])
+_FAULTS = (["oops", "inf", "-inf", "nan", "1e400", "", "  "],
+           ["2", "yes", "nan", "", " "],
+           ["2", "no", "", "\t"],
+           ["", " "],
+           [""])
+
+
+def _row_by_row(path, column_map):
+    """Reference reader: one row at a time, every check in turn on that row.
+
+    Returns ``(outcomes, treatments, instruments, covariates, label_codes)``
+    or raises the ``IngestError`` that ``ingest_csv`` must raise too.
+    """
+    def binary(raw, column, row_number):
+        try:
+            value = float(raw.strip())
+        except ValueError:
+            value = None
+        if value not in (0.0, 1.0):
+            raise IngestError(
+                f"row {row_number}: column {column!r} must be 0 or 1, got {raw!r}")
+        return int(value)
+
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = [h.strip() for h in next(reader)]
+        wanted = [column_map.outcome, column_map.treatment, column_map.instrument,
+                  *column_map.covariates]
+        outcomes, treatments, instruments, raw_covariates = [], [], [], []
+        for row_number, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise IngestError(
+                    f"row {row_number}: expected {len(header)} fields, got {len(row)}")
+            fields = {c: row[header.index(c)] for c in wanted}
+            for column, value in fields.items():
+                if value.strip() == "":
+                    raise IngestError(f"row {row_number}: column {column!r} is missing")
+            raw_y = fields[column_map.outcome]
+            try:
+                y = float(raw_y)
+            except ValueError:
+                raise IngestError(
+                    f"row {row_number}: column {column_map.outcome!r} must be numeric, "
+                    f"got {raw_y!r}")
+            if not math.isfinite(y):
+                raise IngestError(
+                    f"row {row_number}: column {column_map.outcome!r} must be finite, "
+                    f"got {raw_y!r}")
+            outcomes.append(y)
+            treatments.append(binary(fields[column_map.treatment],
+                                     column_map.treatment, row_number))
+            instruments.append(binary(fields[column_map.instrument],
+                                      column_map.instrument, row_number))
+            raw_covariates.append([fields[c].strip() for c in column_map.covariates])
+    if not outcomes:
+        raise IngestError(f"{path}: no data rows")
+    label_codes = {}
+    coded = np.zeros((len(outcomes), len(column_map.covariates)), dtype=np.int64)
+    for j, column in enumerate(column_map.covariates):
+        values = [raw[j] for raw in raw_covariates]
+        try:
+            coded[:, j] = [int(v) for v in values]
+        except ValueError:
+            mapping = {label: code for code, label in enumerate(sorted(set(values)))}
+            coded[:, j] = [mapping[v] for v in values]
+            label_codes[column] = mapping
+    return outcomes, treatments, instruments, coded, label_codes
+
+
 class TestIngest:
     def test_four_row_file(self, tmp_path):
         path = _write(tmp_path / "ok.csv",
@@ -144,6 +223,53 @@ class TestIngest:
         back = ingest_csv(path, ColumnMap("y", "d", "z", ("x1",))).sample
         assert np.array_equal(back.outcomes, two_cell_sample.outcomes)
         assert np.array_equal(back.covariates, two_cell_sample.covariates)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        text = "y,d,z,grp\n1.5,1,0,a\n2.0,0,1,b\n"
+        plain = ingest_csv(_write(tmp_path / "plain.csv", text),
+                           ColumnMap("y", "d", "z", ("grp",)))
+        bom = tmp_path / "bom.csv"
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        marked = ingest_csv(bom, ColumnMap("y", "d", "z", ("grp",)))
+        assert marked.sample.outcomes.tolist() == plain.sample.outcomes.tolist()
+        assert marked.sample.covariates.tolist() == plain.sample.covariates.tolist()
+        assert marked.label_codes == plain.label_codes == {"grp": {"a": 0, "b": 1}}
+
+    @given(rows=st.lists(st.tuples(*map(st.sampled_from, _VALID)), max_size=7),
+           faults=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 5),
+                                     st.integers(0, 6)), max_size=3),
+           covariates=st.sampled_from([(), ("g",), ("g", "h"), ("h", "g")]))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_columnar_reader_matches_row_by_row_reader(self, rows, faults, covariates,
+                                                       tmp_path):
+        table = [list(row) for row in rows]
+        for k, j, v in faults:
+            if not table:
+                break
+            row = table[k % len(table)]
+            if j < min(len(row), len(_FAULTS)):
+                row[j] = _FAULTS[j][v % len(_FAULTS[j])]
+            elif j == len(_FAULTS):
+                row[:] = ([], row[:-1], row + ["extra"])[v % 3]   # empty, short, long
+        lines = ["y,d,z,g,h", *(",".join(row) for row in table)]
+        path = _write(tmp_path / "faults.csv", "\n".join(lines) + "\n")
+        column_map = ColumnMap("y", "d", "z", covariates)
+        try:
+            expected = _row_by_row(path, column_map)
+        except IngestError as exc:
+            with pytest.raises(IngestError) as raised:
+                ingest_csv(path, column_map)
+            assert str(raised.value) == str(exc)
+            return
+        result = ingest_csv(path, column_map)
+        y, d, z, x, label_codes = expected
+        sample = result.sample
+        assert sample.outcomes.tobytes() == np.asarray(y, dtype=np.float64).tobytes()
+        assert sample.treatments.tolist() == d and sample.instruments.tolist() == z
+        assert sample.covariates.dtype == x.dtype and np.array_equal(sample.covariates, x)
+        assert result.label_codes == label_codes
 
 
 class TestBounds:
