@@ -7,21 +7,30 @@ Four commands:
 * ``simulate`` Monte Carlo coverage studies on the benchmark population,
 * ``oracle``   closed-form benchmark truth and variance queries.
 
-Flags may also be supplied through ``--config FILE`` (a JSON object keyed by
-the long flag names); explicit flags override the file.  Every report embeds
-a ``reproducibility`` block holding the fully resolved configuration, which
-can be fed back as a config file to regenerate the same document byte for
-byte.  Progress and redraw diagnostics go to standard error; data products
-go to files only.
+Two tables declare the flags.  ``_FLAGS`` gives each flag its coercer, a rule
+for the coerced value (an interval or a tuple of choices, held to every
+element of a list) and its help text; ``_COMMANDS`` gives each command its
+flags and their defaults, in the order of the reproducibility block.  The
+parser, the config-file keys and every value check follow from them: a value
+passes the same check whether it comes from a flag or from ``--config FILE``
+(a JSON object keyed by the long flag names, which explicit flags override),
+and a failure ends in the structured ``"config"`` error document.
+
+Every report embeds a ``reproducibility`` block holding the fully resolved
+configuration, which can be fed back as a config file to regenerate the same
+document byte for byte.  Progress and redraw diagnostics go to standard
+error; data products go to files only.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,21 +59,13 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Flag coercion and config-file layering
+# The flag and command tables
 # ---------------------------------------------------------------------------
-
-def _coerce_float(value):
-    return float(value)
-
 
 def _coerce_int(value):
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("not an integer")
     return int(value)
-
-
-def _coerce_str(value):
-    return str(value)
 
 
 def _coerce_float_list(value):
@@ -84,31 +85,110 @@ def _coerce_str_list(value):
 
 def _coerce_range(value):
     pair = _coerce_float_list(value)
-    if len(pair) != 2:
-        raise ConfigError(f"expected a lo,hi pair, got {value!r}")
+    if len(pair) != 2 or not pair[0] < pair[1]:
+        raise ValueError("expected a lo,hi pair with lo < hi")
     return pair
 
 
-_COERCERS = {
-    "input": _coerce_str, "output": _coerce_str, "format": _coerce_str,
-    "outcome-col": _coerce_str, "treatment-col": _coerce_str,
-    "iv-col": _coerce_str, "covariate-cols": _coerce_str_list,
-    "group": _coerce_str, "group0": _coerce_str, "group1": _coerce_str,
-    "alpha": _coerce_float, "bootstrap": _coerce_int, "seed": _coerce_int,
-    "tau": _coerce_float_list, "v": _coerce_float_list,
-    "tau-range": _coerce_range, "v-range": _coerce_range,
-    "grid-size": _coerce_int, "band": _coerce_str, "report": _coerce_str_list,
-    "study": _coerce_str, "n": _coerce_int, "reps": _coerce_int,
-    "levels": _coerce_float_list, "y": _coerce_float_list,
-    "max-redraws": _coerce_int,
+class _Interval(NamedTuple):
+    """The numbers from ``lo`` to ``hi``, ends included only when ``closed``."""
+    lo: float
+    hi: float = math.inf
+    closed: bool = True
+
+    def __contains__(self, x) -> bool:
+        return self.lo <= x <= self.hi if self.closed else self.lo < x < self.hi
+
+    def __str__(self) -> str:
+        if self.hi == math.inf:
+            return f">= {self.lo:g}"
+        ends = "[]" if self.closed else "()"
+        return f"in {ends[0]}{self.lo:g}, {self.hi:g}{ends[1]}"
+
+
+class _Flag(NamedTuple):
+    coerce: Callable
+    rule: _Interval | tuple | None   # an interval, a tuple of choices, or no rule
+    help: str
+
+
+def _describe(rule) -> str:
+    return str(rule) if isinstance(rule, _Interval) else "one of " + ", ".join(rule)
+
+
+_UNIT = _Interval(0.0, 1.0, closed=False)
+_STUDIES = ("table1", "table2", "table3", "table4", "figure1", "figure2")
+
+_FLAGS = {
+    "input": _Flag(str, None, "CSV file with a header row"),
+    "outcome-col": _Flag(str, None, "outcome column"),
+    "treatment-col": _Flag(str, None, "binary treatment column"),
+    "iv-col": _Flag(str, None, "binary instrument column"),
+    "covariate-cols": _Flag(_coerce_str_list, None,
+                            "integer-coded or label covariate columns, comma separated"),
+    "group": _Flag(str, None, "covariate selector, e.g. 'inc>1,married=1'"),
+    "group0": _Flag(str, None, "covariate selector of the first group"),
+    "group1": _Flag(str, None, "covariate selector of the second group"),
+    "alpha": _Flag(float, _UNIT, "one minus the confidence level"),
+    "bootstrap": _Flag(_coerce_int, _Interval(2), "bootstrap replications"),
+    "seed": _Flag(_coerce_int, _Interval(0), "random seed"),
+    "tau": _Flag(_coerce_float_list, _UNIT, "quantile levels, comma separated"),
+    "v": _Flag(_coerce_float_list, None, "CDF evaluation points, comma separated"),
+    "y": _Flag(_coerce_float_list, _Interval(1.0, 4.0),
+               "outcomes to map between treatment states, comma separated"),
+    "tau-range": _Flag(_coerce_range, _UNIT, "lo,hi of the quantile-level grid"),
+    "v-range": _Flag(_coerce_range, None, "lo,hi of the value grid"),
+    "grid-size": _Flag(_coerce_int, _Interval(2), "grid points"),
+    "band": _Flag(str, ("constant", "variable"), "uniform band kind"),
+    "report": _Flag(_coerce_str_list, ("prob-positive", "quantile", "iqr", "cdf", "bands"),
+                    "products to report, comma separated"),
+    "study": _Flag(str, _STUDIES, "coverage table or figure"),
+    "n": _Flag(_coerce_int, _Interval(1), "sample size of each Monte Carlo draw"),
+    "reps": _Flag(_coerce_int, _Interval(1), "Monte Carlo replications"),
+    "levels": _Flag(_coerce_float_list, _UNIT, "confidence levels, comma separated"),
+    "max-redraws": _Flag(_coerce_int, _Interval(0),
+                         "redraws allowed for a resample that leaves a cell unfit"),
+    "format": _Flag(str, ("json", "csv"), "report format"),
+    "output": _Flag(str, None, "output file"),
+}
+
+# Each command's flags and defaults, in the order of its reproducibility block.
+_COMMANDS = {
+    "analyze": ("single-group inference from CSV", {
+        "input": None, "outcome-col": "y", "treatment-col": "d", "iv-col": "z",
+        "covariate-cols": [], "group": "", "alpha": 0.05, "bootstrap": 500,
+        "seed": 0, "tau": [0.5], "v": [0.0], "tau-range": [0.1, 0.9],
+        "v-range": None, "grid-size": 161, "band": "constant",
+        "report": ["prob-positive", "quantile", "iqr"], "format": "json",
+        "output": None, "max-redraws": 100}),
+    "compare": ("two-group contrasts and tests", {
+        "input": None, "outcome-col": "y", "treatment-col": "d", "iv-col": "z",
+        "covariate-cols": [], "group0": None, "group1": None, "alpha": 0.05,
+        "bootstrap": 500, "seed": 0, "tau": [0.25, 0.5, 0.75],
+        "tau-range": [0.1, 0.9], "grid-size": 161, "band": "constant",
+        "format": "json", "output": None, "max-redraws": 100}),
+    "simulate": ("benchmark coverage studies", {
+        "study": None, "n": 250, "reps": 300, "levels": [0.9, 0.95, 0.99],
+        "bootstrap": 200, "seed": 0, "v": [2.0], "tau": [0.5],
+        "v-range": [0.04, 3.96], "tau-range": [0.05, 0.95], "grid-size": None,
+        "output": None, "max-redraws": 100}),
+    "oracle": ("benchmark truth queries", {
+        "tau": [], "v": [], "y": [], "output": None, "format": "json"}),
 }
 
 
 def _coerce(key: str, value):
+    """Coerce a flag or config-file value and hold it to the flag's rule."""
+    coerce, rule, _ = _FLAGS[key]
     try:
-        return _COERCERS[key](value)
+        coerced = coerce(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"--{key}: cannot use {value!r}: {exc}") from None
+    if rule is not None:
+        for item in coerced if isinstance(coerced, list) else [coerced]:
+            if item not in rule:
+                raise ConfigError(f"--{key}: must be {_describe(rule)}, got {item!r}")
+    return coerced
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -143,28 +223,10 @@ def _require(resolved: dict, *keys: str) -> None:
 
 
 def _validate_common(resolved: dict) -> None:
-    """Value checks shared by ``analyze`` and ``compare``, run before ingest,
-    and the warning of a B too small for the level."""
+    """Presence checks shared by ``analyze`` and ``compare``, run before
+    ingest, and the warning of a B too small for the level."""
     _require(resolved, "alpha", "bootstrap", "max-redraws", "tau", "tau-range",
              "grid-size")
-    if not 0.0 < resolved["alpha"] < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {resolved['alpha']}")
-    if resolved["bootstrap"] < 2:
-        raise ConfigError(f"bootstrap replications must be >= 2, got {resolved['bootstrap']}")
-    if resolved["max-redraws"] < 0:
-        raise ConfigError(f"max-redraws must be >= 0, got {resolved['max-redraws']}")
-    for tau in resolved["tau"]:
-        if not 0.0 < tau < 1.0:
-            raise ConfigError(f"tau must lie in (0, 1), got {tau}")
-    lo, hi = resolved["tau-range"]
-    if not 0.0 < lo < hi < 1.0:
-        raise ConfigError(f"tau-range must satisfy 0 < lo < hi < 1, got [{lo}, {hi}]")
-    if resolved.get("v-range") is not None:
-        lo, hi = resolved["v-range"]
-        if not lo < hi:
-            raise ConfigError(f"v-range must satisfy lo < hi, got [{lo}, {hi}]")
-    if resolved["grid-size"] < 2:
-        raise ConfigError(f"grid-size must be >= 2, got {resolved['grid-size']}")
     _warn_small_bootstrap(resolved["bootstrap"], resolved["alpha"])
 
 
@@ -231,27 +293,9 @@ def _write_document(document: ReportDocument, resolved: dict) -> None:
 # analyze
 # ---------------------------------------------------------------------------
 
-_ANALYZE_DEFAULTS = {
-    "input": None, "outcome-col": "y", "treatment-col": "d", "iv-col": "z",
-    "covariate-cols": [], "group": "", "alpha": 0.05, "bootstrap": 500,
-    "seed": 0, "tau": [0.5], "v": [0.0], "tau-range": [0.1, 0.9],
-    "v-range": None, "grid-size": 161, "band": "constant",
-    "report": ["prob-positive", "quantile", "iqr"], "format": "json",
-    "output": None, "max-redraws": 100,
-}
-
-_REPORT_CHOICES = ("prob-positive", "quantile", "iqr", "cdf", "bands")
-
-
 def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
     _require(resolved, "input", "output")
     _validate_common(resolved)
-    unknown = [r for r in resolved["report"] if r not in _REPORT_CHOICES]
-    if unknown:
-        raise ConfigError(f"unknown report selection(s) {unknown}; "
-                          f"choose from {_REPORT_CHOICES}")
-    if resolved["band"] not in ("constant", "variable"):
-        raise ConfigError(f"--band must be constant or variable, got {resolved['band']!r}")
 
     ingest = ingest_csv(resolved["input"], _column_map(resolved))
     if ingest.label_codes:
@@ -315,20 +359,9 @@ def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
 # compare
 # ---------------------------------------------------------------------------
 
-_COMPARE_DEFAULTS = {
-    "input": None, "outcome-col": "y", "treatment-col": "d", "iv-col": "z",
-    "covariate-cols": [], "group0": None, "group1": None, "alpha": 0.05,
-    "bootstrap": 500, "seed": 0, "tau": [0.25, 0.5, 0.75],
-    "tau-range": [0.1, 0.9], "grid-size": 161, "band": "constant",
-    "format": "json", "output": None, "max-redraws": 100,
-}
-
-
 def cmd_compare(resolved: dict, threads: int) -> ReportDocument:
     _require(resolved, "input", "output", "group0", "group1")
     _validate_common(resolved)
-    if resolved["band"] not in ("constant", "variable"):
-        raise ConfigError(f"--band must be constant or variable, got {resolved['band']!r}")
 
     ingest = ingest_csv(resolved["input"], _column_map(resolved))
     columns = resolved["covariate-cols"]
@@ -386,16 +419,6 @@ def cmd_compare(resolved: dict, threads: int) -> ReportDocument:
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIMULATE_DEFAULTS = {
-    "study": None, "n": 250, "reps": 300, "levels": [0.9, 0.95, 0.99],
-    "bootstrap": 200, "seed": 0, "v": [2.0], "tau": [0.5],
-    "v-range": [0.04, 3.96], "tau-range": [0.05, 0.95], "grid-size": None,
-    "band": "constant", "output": None, "max-redraws": 100,
-}
-
-_STUDIES = ("table1", "table2", "table3", "table4", "figure1", "figure2")
-
-
 def _study_targets(resolved: dict) -> list:
     from .benchmark_sim import StudyTarget
 
@@ -416,12 +439,10 @@ def _study_targets(resolved: dict) -> list:
         targets = [StudyTarget(kind="quantile-ci", tau=t) for t in resolved["tau"]]
         targets.append(StudyTarget(kind="iqr-ci"))
         return targets
-    if study == "table4":
-        size = resolved["grid-size"] or 91
-        grid = make_grid("levels", *resolved["tau-range"], size)
-        return [StudyTarget(kind="quantile-band", grid=grid, band="constant"),
-                StudyTarget(kind="quantile-band", grid=grid, band="variable")]
-    raise ConfigError(f"study must be one of {_STUDIES}, got {study!r}")
+    size = resolved["grid-size"] or 91   # table4, the one study left
+    grid = make_grid("levels", *resolved["tau-range"], size)
+    return [StudyTarget(kind="quantile-band", grid=grid, band="constant"),
+            StudyTarget(kind="quantile-band", grid=grid, band="variable")]
 
 
 def cmd_simulate(resolved: dict, threads: int) -> None:
@@ -429,15 +450,6 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
                                 write_diagnostic_csv, write_variance_profile_csv)
 
     _require(resolved, "study", "output")
-    if resolved["study"] not in _STUDIES:
-        raise ConfigError(f"study must be one of {_STUDIES}, got {resolved['study']!r}")
-    if resolved["reps"] < 1:
-        raise ConfigError(f"reps must be >= 1, got {resolved['reps']}")
-    for key in ("levels", "tau"):
-        for value in resolved[key]:
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{key} must lie in (0, 1), got {value}")
-
     output = Path(resolved["output"])
     if resolved["study"] == "figure1":
         size = resolved["grid-size"] or 81
@@ -446,6 +458,8 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
         logger.info("variance profile written to %s", output)
         return
     if resolved["study"] == "figure2":
+        if len(resolved["tau"]) != 1:
+            raise ConfigError(f"--tau: figure2 needs exactly one level, got {resolved['tau']}")
         diag = gaussian_diagnostic(resolved["tau"][0], resolved["n"],
                                    resolved["reps"], resolved["seed"],
                                    threads=threads)
@@ -455,10 +469,6 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
         return
 
     _require(resolved, "bootstrap", "max-redraws")
-    if resolved["bootstrap"] < 2:
-        raise ConfigError(f"bootstrap replications must be >= 2, got {resolved['bootstrap']}")
-    if resolved["max-redraws"] < 0:
-        raise ConfigError(f"max-redraws must be >= 0, got {resolved['max-redraws']}")
     _warn_small_bootstrap(resolved["bootstrap"], 1.0 - max(resolved["levels"], default=0.0))
     reports = run_coverage(_study_targets(resolved), n=resolved["n"],
                            reps=resolved["reps"], levels=resolved["levels"],
@@ -472,9 +482,6 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
 # oracle
 # ---------------------------------------------------------------------------
 
-_ORACLE_DEFAULTS = {"tau": [], "v": [], "y": [], "output": None, "format": "json"}
-
-
 def cmd_oracle(resolved: dict) -> ReportDocument:
     from .benchmark_sim import DgpOracle, TheoryVariance
 
@@ -482,8 +489,6 @@ def cmd_oracle(resolved: dict) -> ReportDocument:
     theory = TheoryVariance()
     estimates: dict[str, float] = {}
     for tau in resolved["tau"]:
-        if not 0.0 < tau < 1.0:
-            raise ConfigError(f"tau must lie in (0, 1), got {tau}")
         estimates[f"quantile@{tau:g}"] = float(oracle.quantile(tau))
         estimates[f"quantile_var_sampling@{tau:g}"] = float(theory.quantile_sampling(tau))
         estimates[f"quantile_var_estimation@{tau:g}"] = float(theory.quantile_estimation(tau))
@@ -493,8 +498,6 @@ def cmd_oracle(resolved: dict) -> ReportDocument:
         estimates[f"cdf@{v:g}"] = float(oracle.cdf(v))
         estimates[f"density@{v:g}"] = float(oracle.density(v))
     for y in resolved["y"]:
-        if not 1.0 <= y <= 4.0:
-            raise ConfigError(f"y must lie in the shared outcome range [1, 4], got {y}")
         estimates[f"map_to_treated@{y:g}"] = float(oracle.map_to_treated(y))
         estimates[f"map_to_control@{y:g}"] = float(oracle.map_to_control(y))
     if not estimates:
@@ -511,27 +514,6 @@ def cmd_oracle(resolved: dict) -> ReportDocument:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap; never changes results")
-    parser.add_argument("--verbose", action="store_true")
-
-
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input")
-    parser.add_argument("--outcome-col")
-    parser.add_argument("--treatment-col")
-    parser.add_argument("--iv-col")
-    parser.add_argument("--covariate-cols")
-    parser.add_argument("--alpha")
-    parser.add_argument("--bootstrap", "--B")
-    parser.add_argument("--seed")
-    parser.add_argument("--max-redraws")
-    parser.add_argument("--output")
-    parser.add_argument("--format", choices=("json", "csv"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="itedist",
@@ -539,53 +521,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "with a binary endogenous treatment and a binary instrument.")
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    analyze = commands.add_parser("analyze", help="single-group inference from CSV")
-    _add_data_flags(analyze)
-    analyze.add_argument("--group", help="covariate selector, e.g. 'inc>1,married=1'")
-    analyze.add_argument("--tau", help="quantile levels, comma separated")
-    analyze.add_argument("--v", help="CDF evaluation points, comma separated")
-    analyze.add_argument("--tau-range")
-    analyze.add_argument("--v-range")
-    analyze.add_argument("--grid-size")
-    analyze.add_argument("--band", choices=("constant", "variable"))
-    analyze.add_argument("--report", help="comma list: prob-positive,quantile,iqr,cdf,bands")
-    _add_common(analyze)
-
-    compare = commands.add_parser("compare", help="two-group contrasts and tests")
-    _add_data_flags(compare)
-    compare.add_argument("--group0")
-    compare.add_argument("--group1")
-    compare.add_argument("--tau")
-    compare.add_argument("--tau-range")
-    compare.add_argument("--grid-size")
-    compare.add_argument("--band", choices=("constant", "variable"))
-    _add_common(compare)
-
-    simulate = commands.add_parser("simulate", help="benchmark coverage studies")
-    simulate.add_argument("study", nargs="?", help="|".join(_STUDIES))
-    simulate.add_argument("--n")
-    simulate.add_argument("--reps")
-    simulate.add_argument("--levels")
-    simulate.add_argument("--bootstrap", "--B")
-    simulate.add_argument("--seed")
-    simulate.add_argument("--v")
-    simulate.add_argument("--tau")
-    simulate.add_argument("--v-range")
-    simulate.add_argument("--tau-range")
-    simulate.add_argument("--grid-size")
-    simulate.add_argument("--band", choices=("constant", "variable"))
-    simulate.add_argument("--max-redraws")
-    simulate.add_argument("--output")
-    _add_common(simulate)
-
-    oracle = commands.add_parser("oracle", help="benchmark truth queries")
-    oracle.add_argument("--tau")
-    oracle.add_argument("--v")
-    oracle.add_argument("--y")
-    oracle.add_argument("--output")
-    oracle.add_argument("--format", choices=("json", "csv"))
-    _add_common(oracle)
+    for command, (summary, defaults) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=summary)
+        for key in defaults:
+            _, rule, text = _FLAGS[key]
+            text = text if rule is None else f"{text} [{_describe(rule)}]"
+            if key == "study":
+                sub.add_argument("study", nargs="?", help=text)
+            else:
+                sub.add_argument(f"--{key}", *(["--B"] if key == "bootstrap" else []),
+                                 help=text)
+        sub.add_argument("--config", help="JSON config file (flags override it)")
+        sub.add_argument("--threads", type=int, default=1,
+                         help="worker cap; never changes results")
+        sub.add_argument("--verbose", action="store_true")
     return parser
 
 
@@ -597,16 +546,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     command = args.command
     try:
-        if command == "analyze":
-            resolved = _resolve(args, _ANALYZE_DEFAULTS)
-        elif command == "compare":
-            resolved = _resolve(args, _COMPARE_DEFAULTS)
-        elif command == "simulate":
-            resolved = _resolve(args, _SIMULATE_DEFAULTS)
-            if getattr(args, "study", None):
-                resolved["study"] = args.study
-        else:
-            resolved = _resolve(args, _ORACLE_DEFAULTS)
+        resolved = _resolve(args, _COMMANDS[command][1])
     except ConfigError as exc:
         sys.stderr.write(error_report(command, "config", str(exc)))
         return 2

@@ -425,7 +425,10 @@ def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
     Row order is preserved.  Covariates already coded as integers are kept
     as read; any other label is assigned a stable integer code, reported in
     the result.  Every malformed value aborts ingestion with the offending
-    data row number (1-based, excluding the header).
+    data row number (1-based, excluding the header); an integer code outside
+    the 64-bit range is malformed.  A line the ``csv`` module cannot parse,
+    such as one holding a field beyond its size limit, aborts ingestion with
+    its line number in the file.
 
     A leading UTF-8 byte-order mark, as spreadsheet programs write, is
     skipped.  The rows are read once and then checked and converted column
@@ -439,15 +442,17 @@ def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
         reader = csv.reader(handle)
         try:
             header = next(reader)
+            header = [h.strip() for h in header]
+            wanted = [column_map.outcome, column_map.treatment, column_map.instrument,
+                      *column_map.covariates]
+            missing = [c for c in wanted if c not in header]
+            if missing:
+                raise IngestError(f"{path}: missing column(s) {missing}")
+            rows = list(reader)
         except StopIteration:
             raise IngestError(f"{path}: file is empty (header row required)")
-        header = [h.strip() for h in header]
-        wanted = [column_map.outcome, column_map.treatment, column_map.instrument,
-                  *column_map.covariates]
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise IngestError(f"{path}: missing column(s) {missing}")
-        rows = list(reader)
+        except csv.Error as exc:
+            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
 
     # The rows before the first one with the wrong field count, as columns
     # (``itemgetter`` rather than ``zip(*rows)``, which holds an iterator,
@@ -491,6 +496,11 @@ def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
             mapping = {label: code for code, label in enumerate(sorted(set(values)))}
             coded[:, j] = list(map(mapping.__getitem__, values))
             label_codes[column] = mapping
+        except OverflowError:
+            limits = np.iinfo(coded.dtype)
+            i = next(i for i, v in enumerate(values) if not limits.min <= int(v) <= limits.max)
+            raise IngestError(f"row {i + 1}: column {column!r} must be an integer code "
+                              f"that fits in 64 bits, got {columns[column][i]!r}") from None
 
     sample = Sample(
         outcomes=np.array(list(map(outcomes.__getitem__, columns[column_map.outcome]))),

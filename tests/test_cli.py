@@ -141,6 +141,14 @@ class TestAnalyze:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and flags[0][2:] in err["message"]
 
+    def test_oversized_csv_field_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "long.csv"
+        src.write_text('y,d,z\n"' + "x" * 200_000 + '",1,0\n')
+        code = run_cli("analyze", "--input", str(src), "--output", str(tmp_path / "x.json"))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data" and "line 2" in err["message"]
+
     def test_ingest_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("y,d,z\n1.0,5,0\n")
@@ -308,6 +316,31 @@ class TestSimulate:
                        "--seed", "2", "--output", str(out)) == 0
         assert out.read_text().startswith("section,index,x,y")
 
+    @pytest.mark.parametrize("tau", [",", "0.3,0.7"])
+    def test_figure2_needs_exactly_one_tau(self, tau, tmp_path, capsys, monkeypatch):
+        import itedist.benchmark_sim
+        monkeypatch.setattr(itedist.benchmark_sim, "gaussian_diagnostic", _unreachable)
+        code = run_cli("simulate", "figure2", "--tau", tau, "--n", "120", "--reps", "35",
+                       "--output", str(tmp_path / "x.csv"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "--tau" in err["message"]
+
+    def test_band_flag_rejected(self, tmp_path, capsys):
+        # table2 and table4 always score both band kinds
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("simulate", "table2", "--band", "variable",
+                    "--output", str(tmp_path / "x.csv"))
+        assert exit_.value.code == 2
+        assert "--band" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"band": "variable"}))
+        assert run_cli("simulate", "table2", "--config", str(cfg_path),
+                       "--output", str(tmp_path / "x.csv")) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "'band'" in err["message"]
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestOracle:
     def test_values(self, capsys):
@@ -327,19 +360,26 @@ class TestOracle:
 
 
 class TestReproducibility:
-    def test_config_roundtrip_byte_identical(self, bench_csv, tmp_path):
-        out1 = tmp_path / "a.json"
-        code = run_cli("analyze", "--input", str(bench_csv), "--bootstrap", "25",
-                       "--seed", "11", "--report", "quantile,iqr",
-                       "--output", str(out1))
-        assert code == 0
-        block = json.loads(out1.read_text())["reproducibility"]
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(block))
-        out2 = tmp_path / "b.json"
-        assert run_cli("analyze", "--config", str(cfg_path),
-                       "--output", str(out2)) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_config_roundtrip_byte_identical(self, bench_csv, split_csv, tmp_path):
+        runs = {
+            "analyze": ["--input", str(bench_csv), "--bootstrap", "25", "--seed", "11",
+                        "--report", "quantile,iqr"],
+            "compare": ["--input", str(split_csv), "--covariate-cols", "grp",
+                        "--group0", "grp=0", "--group1", "grp=1", "--bootstrap", "25",
+                        "--seed", "11", "--grid-size", "5", "--band", "variable"],
+            "oracle": ["--tau", "0.25,0.5", "--v", "2", "--y", "2.25"],
+        }
+        for command, flags in runs.items():
+            out1 = tmp_path / f"{command}_a.json"
+            assert run_cli(command, *flags, "--output", str(out1)) == 0
+            block = json.loads(out1.read_text())["reproducibility"]
+            assert block["command"] == command
+            cfg_path = tmp_path / f"{command}_cfg.json"
+            cfg_path.write_text(json.dumps(block))
+            out2 = tmp_path / f"{command}_b.json"
+            assert run_cli(command, "--config", str(cfg_path),
+                           "--output", str(out2)) == 0
+            assert out1.read_bytes() == out2.read_bytes()
 
     def test_flags_override_config(self, bench_csv, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -386,6 +426,36 @@ class TestReproducibility:
         cfg_path.write_text(json.dumps({"inptu": str(bench_csv)}))
         assert run_cli("analyze", "--config", str(cfg_path),
                        "--output", str(tmp_path / "x.json")) == 2
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("analyze", "format", "xml"), ("analyze", "band", "bogus"),
+    ("analyze", "report", "quantile,bogus"), ("simulate", "study", "tableX"),
+    ("table2", "grid-size", "0"), ("table2", "grid-size", "1"),
+    ("figure1", "tau-range", "0.9,0.1"), ("table2", "v-range", "3,1"),
+    ("table1", "n", "0"), ("table1", "levels", "0.9,1.5"), ("oracle", "y", "5")])
+def test_bad_value_is_one_config_error_from_flag_or_file(
+        command, key, value, bench_csv, tmp_path, capsys, monkeypatch):
+    # a flag value and a config-file value pass the same check, before any work
+    import itedist.benchmark_sim
+    import itedist.cli
+    monkeypatch.setattr(itedist.cli, "ingest_csv", _unreachable)
+    monkeypatch.setattr(itedist.benchmark_sim, "run_coverage", _unreachable)
+    monkeypatch.setattr(itedist.benchmark_sim, "write_variance_profile_csv", _unreachable)
+    prefix = {"analyze": ["analyze", "--input", str(bench_csv)],
+              "simulate": ["simulate"], "oracle": ["oracle", "--tau", "0.5"]}.get(
+                  command, ["simulate", command])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    flag = [value] if key == "study" else [f"--{key}", value]
+    errors = []
+    for given in (flag, ["--config", str(cfg_path)]):
+        assert run_cli(*prefix, *given, "--output", str(tmp_path / "out")) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    err = json.loads(errors[0])
+    assert err["error"] == "config" and err["message"].startswith(f"--{key}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def _run_without(module: str, argv: list[str]) -> subprocess.CompletedProcess:

@@ -204,6 +204,19 @@ class TestIngest:
         with pytest.raises(IngestError, match="row 2"):
             ingest_csv(path, ColumnMap("y", "d", "z"))
 
+    def test_oversized_field_names_file_and_line(self, tmp_path):
+        # csv refuses a field beyond its 131,072-character limit
+        path = _write(tmp_path / "long.csv", 'y,d,z\n1.0,1,0\n"' + "x" * 200_000 + '",1,0\n')
+        with pytest.raises(IngestError, match=r"long\.csv: line 3: field larger than"):
+            ingest_csv(path, ColumnMap("y", "d", "z"))
+
+    @pytest.mark.parametrize("code", ["99999999999999999999", "-9223372036854775809"])
+    def test_covariate_code_beyond_int64_names_row(self, code, tmp_path):
+        path = _write(tmp_path / "wide.csv",
+                      f"y,d,z,g\n1.0,1,0,9223372036854775807\n2.0,0,1,{code}\n")
+        with pytest.raises(IngestError, match=rf"row 2: column 'g' .*'{code}'"):
+            ingest_csv(path, ColumnMap("y", "d", "z", ("g",)))
+
     def test_label_covariates_coded_stably(self, tmp_path):
         path = _write(tmp_path / "labels.csv",
                       "y,d,z,grp\n1.0,1,0,low\n2.0,0,1,high\n3.0,1,1,mid\n4.0,0,0,low\n")
