@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 from .bootstrap_inference import (BandResult, BootstrapConfig, BootstrapReplicates,
                                   IntervalResult, NORMAL_QUARTILE_SPREAD,
                                   ReplicationError, TestResult, TwoGroupReplicates,
-                                  bootstrap_pseudo_ites, ci_cdf, ci_prob_positive,
-                                  ci_quantile_and_iqr, compare_quantiles,
-                                  draw_replicates, percentile_interval, resample,
+                                  ci_cdf, ci_prob_positive, ci_quantile_and_iqr,
+                                  compare_quantiles, draw_replicates,
+                                  percentile_interval, resample,
                                   test_distributions, two_group_quantile_replicates,
                                   ucb_cdf_constant, ucb_cdf_variable,
                                   ucb_quantile_constant, ucb_quantile_difference,
@@ -24,7 +24,7 @@ from .counterfactual import (ObjectiveContext, PseudoIteVector, build_context,
                              sign_left)
 from .data_model import (Bounds, CellEstimability, ColumnMap, EmptySelectionError,
                          EstimabilityError, EstimabilityReport, GroupSelector,
-                         IngestError, IngestResult, Observation, Sample,
+                         IngestError, IngestResult, Sample,
                          check_estimability, estimate_bounds, ingest_csv,
                          min_instrument_margin, sample_to_csv, select_group)
 from .empirical_dist import (Ecdf, Grid, QuantileFn, ecdf, iqr, make_grid,
@@ -33,7 +33,7 @@ from .empirical_dist import (Ecdf, Grid, QuantileFn, ecdf, iqr, make_grid,
 __all__ = [
     "__version__",
     # data model
-    "Observation", "Sample", "GroupSelector", "Bounds", "EstimabilityReport",
+    "Sample", "GroupSelector", "Bounds", "EstimabilityReport",
     "CellEstimability", "ColumnMap", "IngestResult", "IngestError",
     "EstimabilityError", "EmptySelectionError", "ingest_csv", "estimate_bounds",
     "check_estimability", "select_group", "min_instrument_margin", "sample_to_csv",
@@ -46,8 +46,8 @@ __all__ = [
     # bootstrap inference
     "BootstrapConfig", "BootstrapReplicates", "TwoGroupReplicates",
     "IntervalResult", "BandResult", "TestResult", "ReplicationError",
-    "NORMAL_QUARTILE_SPREAD", "resample", "bootstrap_pseudo_ites",
-    "draw_replicates", "percentile_interval", "ci_cdf", "ci_quantile_and_iqr",
+    "NORMAL_QUARTILE_SPREAD", "resample", "draw_replicates",
+    "percentile_interval", "ci_cdf", "ci_quantile_and_iqr",
     "ci_prob_positive", "ucb_cdf_constant", "ucb_cdf_variable",
     "ucb_quantile_constant", "ucb_quantile_variable", "compare_quantiles",
     "ucb_quantile_difference", "test_distributions",
@@ -59,8 +59,8 @@ __all__ = [
     "run_coverage", "naive_ci_cdf", "gaussian_diagnostic",
 ]
 
-# The benchmark harness needs scipy, which takes longer to import than the
-# rest of the package; it is loaded on first use of one of its names.
+# The benchmark harness is loaded on first use of one of its names, so that
+# analyze and compare do not pay for importing it.
 _BENCHMARK_NAMES = frozenset((
     "CoverageReport", "DgpConfig", "DgpOracle", "GaussianDiagnostic",
     "GeneratedSample", "StudyTarget", "TheoryVariance", "VarianceGapReport",

@@ -9,7 +9,10 @@ coordinate into a uniform rank, and sets
 
 The effect of treatment for an individual with rank ``e`` is
 ``e * (1 + e)^2``, a strictly increasing map on [0, 1], which makes every
-distributional quantity available in closed form.  The module also provides
+distributional quantity available in closed form.  The standard normal CDF
+and quantile come from ``itedist._normal``, a port of the Cephes routines
+that equals ``scipy.special.ndtr``/``ndtri`` bit for bit, so the package
+needs no scipy at run time.  The module also provides
 the asymptotic variance of the empirical CDF/quantile of the *estimated*
 effects: a binomial part (the infeasible-estimator variance) plus an
 estimation-error part assembled from the complier outcome density, the first
@@ -24,8 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from ._rng import derive_seed, derive_stream, parallel_map
 from .bootstrap_inference import (BootstrapConfig, BootstrapReplicates,
                                   IntervalResult, ReplicationError, _cdf_curves,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import derive_stream, parallel_map
-from .counterfactual import PseudoIteVector, pseudo_ites
+from .counterfactual import pseudo_ites
 from .data_model import Bounds, Sample, min_instrument_margin
 from .empirical_dist import Grid, iqr
 
@@ -198,19 +198,6 @@ def _draw_estimable_resample(sample: Sample, cfg: BootstrapConfig, r: int,
         f"{cfg.max_redraws} redraw(s): some cell keeps an instrument arm "
         f"with fewer than 2 rows",
         replication=r, attempts=cfg.max_redraws + 1)
-
-
-def bootstrap_pseudo_ites(sample: Sample, bounds: Bounds, cfg: BootstrapConfig,
-                          r: int, group: int = 0) -> PseudoIteVector:
-    """Pseudo treatment effects recomputed on the ``r``-th resample.
-
-    The resample stream is derived from (seed, r, group, attempt); bounds are
-    the original-sample bounds, held fixed across replications.
-    """
-    if not 0 <= r < cfg.n_replications:
-        raise ValueError(f"replication index {r} outside [0, {cfg.n_replications})")
-    draw, _ = _draw_estimable_resample(sample, cfg, r, group)
-    return pseudo_ites(draw, bounds)
 
 
 @dataclass(frozen=True, eq=False)

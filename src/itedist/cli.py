@@ -10,8 +10,10 @@ Four commands:
 Two tables declare the flags.  ``_FLAGS`` gives each flag its coercer, a rule
 for the coerced value (an interval or a tuple of choices, held to every
 element of a list) and its help text; ``_COMMANDS`` gives each command its
-flags and their defaults, in the order of the reproducibility block.  The
-parser, the config-file keys and every value check follow from them: a value
+flags and their defaults, in the order of the reproducibility block; a flag
+whose default is ``_REQUIRED`` must be given, one whose default is ``None``
+may stay unset, and no other may be set to null.  The parser, the config-file
+keys, the presence checks and every value check follow from them: a value
 passes the same check whether it comes from a flag or from ``--config FILE``
 (a JSON object keyed by the long flag names, which explicit flags override),
 and a failure ends in the structured ``"config"`` error document.
@@ -152,26 +154,29 @@ _FLAGS = {
     "output": _Flag(str, None, "output file"),
 }
 
+# The default of a flag that every run must give.
+_REQUIRED = object()
+
 # Each command's flags and defaults, in the order of its reproducibility block.
 _COMMANDS = {
     "analyze": ("single-group inference from CSV", {
-        "input": None, "outcome-col": "y", "treatment-col": "d", "iv-col": "z",
+        "input": _REQUIRED, "outcome-col": "y", "treatment-col": "d", "iv-col": "z",
         "covariate-cols": [], "group": "", "alpha": 0.05, "bootstrap": 500,
         "seed": 0, "tau": [0.5], "v": [0.0], "tau-range": [0.1, 0.9],
         "v-range": None, "grid-size": 161, "band": "constant",
         "report": ["prob-positive", "quantile", "iqr"], "format": "json",
-        "output": None, "max-redraws": 100}),
+        "output": _REQUIRED, "max-redraws": 100}),
     "compare": ("two-group contrasts and tests", {
-        "input": None, "outcome-col": "y", "treatment-col": "d", "iv-col": "z",
-        "covariate-cols": [], "group0": None, "group1": None, "alpha": 0.05,
+        "input": _REQUIRED, "outcome-col": "y", "treatment-col": "d", "iv-col": "z",
+        "covariate-cols": [], "group0": _REQUIRED, "group1": _REQUIRED, "alpha": 0.05,
         "bootstrap": 500, "seed": 0, "tau": [0.25, 0.5, 0.75],
         "tau-range": [0.1, 0.9], "grid-size": 161, "band": "constant",
-        "format": "json", "output": None, "max-redraws": 100}),
+        "format": "json", "output": _REQUIRED, "max-redraws": 100}),
     "simulate": ("benchmark coverage studies", {
-        "study": None, "n": 250, "reps": 300, "levels": [0.9, 0.95, 0.99],
+        "study": _REQUIRED, "n": 250, "reps": 300, "levels": [0.9, 0.95, 0.99],
         "bootstrap": 200, "seed": 0, "v": [2.0], "tau": [0.5],
         "v-range": [0.04, 3.96], "tau-range": [0.05, 0.95], "grid-size": None,
-        "output": None, "max-redraws": 100}),
+        "output": _REQUIRED, "max-redraws": 100}),
     "oracle": ("benchmark truth queries", {
         "tau": [], "v": [], "y": [], "output": None, "format": "json"}),
 }
@@ -192,7 +197,8 @@ def _coerce(key: str, value):
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
+    """Defaults, overlaid by the config file, overlaid by explicit flags, with
+    every flag present that ``defaults`` does not leave optional."""
     resolved = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -213,21 +219,11 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         flag_value = getattr(args, key.replace("-", "_"), None)
         if flag_value is not None:
             resolved[key] = _coerce(key, flag_value)
-    return resolved
-
-
-def _require(resolved: dict, *keys: str) -> None:
-    for key in keys:
-        if resolved.get(key) in (None, ""):
+    for key, default in defaults.items():
+        missing = (None, "", _REQUIRED) if default is _REQUIRED else (None,)
+        if default is not None and resolved[key] in missing:
             raise ConfigError(f"--{key} is required")
-
-
-def _validate_common(resolved: dict) -> None:
-    """Presence checks shared by ``analyze`` and ``compare``, run before
-    ingest, and the warning of a B too small for the level."""
-    _require(resolved, "alpha", "bootstrap", "max-redraws", "tau", "tau-range",
-             "grid-size")
-    _warn_small_bootstrap(resolved["bootstrap"], resolved["alpha"])
+    return resolved
 
 
 def _warn_small_bootstrap(b: int, alpha: float) -> None:
@@ -294,8 +290,7 @@ def _write_document(document: ReportDocument, resolved: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
-    _require(resolved, "input", "output")
-    _validate_common(resolved)
+    _warn_small_bootstrap(resolved["bootstrap"], resolved["alpha"])
 
     ingest = ingest_csv(resolved["input"], _column_map(resolved))
     if ingest.label_codes:
@@ -360,8 +355,7 @@ def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
 # ---------------------------------------------------------------------------
 
 def cmd_compare(resolved: dict, threads: int) -> ReportDocument:
-    _require(resolved, "input", "output", "group0", "group1")
-    _validate_common(resolved)
+    _warn_small_bootstrap(resolved["bootstrap"], resolved["alpha"])
 
     ingest = ingest_csv(resolved["input"], _column_map(resolved))
     columns = resolved["covariate-cols"]
@@ -380,8 +374,9 @@ def cmd_compare(resolved: dict, threads: int) -> ReportDocument:
 
     grid = make_grid("levels", *resolved["tau-range"], resolved["grid-size"])
     taus = [float(t) for t in resolved["tau"]]
-    levels = np.unique(np.concatenate((grid.points, np.array(taus),
-                                       np.array([0.25, 0.75]))))
+    # Sorted and deduplicated by run starts: np.unique would load numpy.ma.
+    levels = np.sort(np.concatenate((grid.points, taus, [0.25, 0.75])))
+    levels = levels[np.concatenate(([True], levels[1:] != levels[:-1]))]
     cfg = BootstrapConfig(n_replications=resolved["bootstrap"], seed=resolved["seed"],
                           max_redraws=resolved["max-redraws"])
     replicates = two_group_quantile_replicates(
@@ -449,7 +444,6 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
     from .benchmark_sim import (gaussian_diagnostic, run_coverage, write_coverage_csv,
                                 write_diagnostic_csv, write_variance_profile_csv)
 
-    _require(resolved, "study", "output")
     output = Path(resolved["output"])
     if resolved["study"] == "figure1":
         size = resolved["grid-size"] or 81
@@ -468,7 +462,6 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
                     output, diag.mean, diag.variance)
         return
 
-    _require(resolved, "bootstrap", "max-redraws")
     _warn_small_bootstrap(resolved["bootstrap"], 1.0 - max(resolved["levels"], default=0.0))
     reports = run_coverage(_study_targets(resolved), n=resolved["n"],
                            reps=resolved["reps"], levels=resolved["levels"],

@@ -419,7 +419,9 @@ def _smallest_minimizers(y, group, w_match, w_other, lo, hi, p_group, p_n_match,
         left = prev[gone[np.concatenate(([True], ~joined))]]
         right = succ[gone[np.concatenate((~joined, [True]))]]
         succ[left], prev[right] = right, left
-        work = np.unique(np.concatenate((left, right)))
+        # Sorted and deduplicated by run starts: np.unique would load numpy.ma.
+        work = np.sort(np.concatenate((left, right)))
+        work = work[np.concatenate(([True], work[1:] != work[:-1]))]
         work = work[(prev[work] >= 0) & (succ[work] >= 0)]
 
     # Made monotone, the bounds on each problem's hull edge slopes bracket

@@ -1,4 +1,4 @@
-"""Observations, covariate cells, group selection, and estimability checks.
+"""Samples, covariate cells, group selection, and estimability checks.
 
 A sample is a collection of rows (outcome, binary treatment, binary
 instrument, integer-coded covariates).  All estimation downstream is local to
@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,24 +30,6 @@ class EstimabilityError(ValueError):
 
 class EmptySelectionError(ValueError):
     """A group selector matches no observation."""
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One row: outcome, treatment and instrument indicators, covariates."""
-
-    y: float
-    d: int
-    z: int
-    x: Cell
-
-    def __post_init__(self):
-        if self.d not in (0, 1):
-            raise ValueError(f"treatment must be 0 or 1, got {self.d!r}")
-        if self.z not in (0, 1):
-            raise ValueError(f"instrument must be 0 or 1, got {self.z!r}")
-        if not math.isfinite(self.y):
-            raise ValueError(f"outcome must be finite, got {self.y!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,18 +93,6 @@ class Sample:
 
     def cell_rows(self, cell: Cell) -> np.ndarray:
         return self.cell_index[cell]
-
-    def row(self, i: int) -> Observation:
-        return Observation(
-            y=float(self.outcomes[i]),
-            d=int(self.treatments[i]),
-            z=int(self.instruments[i]),
-            x=tuple(int(v) for v in self.covariates[i]),
-        )
-
-    @property
-    def observations(self) -> Iterator[Observation]:
-        return (self.row(i) for i in range(self.n))
 
     def take(self, indices) -> "Sample":
         """New sample holding the given rows, in the given order."""

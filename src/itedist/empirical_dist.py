@@ -107,15 +107,10 @@ def make_grid(kind: str, lo: float, hi: float, size: int) -> Grid:
     return Grid(kind=kind, points=np.linspace(lo, hi, size))
 
 
-# Reporting defaults when the caller gives no range: levels cover [0.1, 0.9];
-# value grids span the central 90% of the estimated effects.
-DEFAULT_LEVEL_RANGE = (0.1, 0.9)
+# The value grid when the caller gives no range spans the central 90% of the
+# estimated effects.
 DEFAULT_VALUE_QUANTILES = (0.05, 0.95)
 DEFAULT_GRID_SIZE = 161
-
-
-def default_level_grid(size: int = DEFAULT_GRID_SIZE) -> Grid:
-    return make_grid("levels", *DEFAULT_LEVEL_RANGE, size)
 
 
 def default_value_grid(values, size: int = DEFAULT_GRID_SIZE) -> Grid:

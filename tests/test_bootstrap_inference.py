@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from itedist import (BootstrapConfig, NORMAL_QUARTILE_SPREAD,
                      bootstrap_inference, min_instrument_margin,
-                     ReplicationError, Sample, bootstrap_pseudo_ites, ci_cdf,
+                     ReplicationError, Sample, ci_cdf,
                      ci_prob_positive, ci_quantile_and_iqr, compare_quantiles,
                      draw_replicates, estimate_bounds, generate, make_grid,
                      percentile_interval, pseudo_ites, resample,
@@ -20,7 +20,8 @@ from itedist import (BootstrapConfig, NORMAL_QUARTILE_SPREAD,
                      ucb_quantile_variable, ucb_quantile_difference)
 from itedist import test_distributions as distribution_test
 from itedist._rng import derive_stream
-from itedist.bootstrap_inference import _constant_band, _variable_band
+from itedist.bootstrap_inference import (_constant_band, _draw_estimable_resample,
+                                         _variable_band)
 from itedist.empirical_dist import Grid
 
 
@@ -138,17 +139,17 @@ class TestBootstrapPseudoItes:
         assert np.array_equal(base.values, again.values)
 
     def test_deterministic_per_replication(self, bench_small):
+        # replication r's resample depends on (seed, r, group) alone, and the
+        # replicate set holds its fit in row r
         gen, bounds = bench_small
         cfg = BootstrapConfig(n_replications=5, seed=3)
-        a = bootstrap_pseudo_ites(gen.sample, bounds, cfg, 2)
-        b = bootstrap_pseudo_ites(gen.sample, bounds, cfg, 2)
-        assert np.array_equal(a.values, b.values)
-
-    def test_replication_index_validated(self, bench_small):
-        gen, bounds = bench_small
-        cfg = BootstrapConfig(n_replications=5, seed=3)
-        with pytest.raises(ValueError):
-            bootstrap_pseudo_ites(gen.sample, bounds, cfg, 5)
+        a, _ = _draw_estimable_resample(gen.sample, cfg, 2, 0)
+        b, _ = _draw_estimable_resample(gen.sample, cfg, 2, 0)
+        assert np.array_equal(a.outcomes, b.outcomes)
+        other, _ = _draw_estimable_resample(gen.sample, cfg, 2, 1)
+        assert not np.array_equal(a.outcomes, other.outcomes)
+        reps = draw_replicates(gen.sample, bounds, cfg)
+        assert np.array_equal(reps.sorted_values[2], np.sort(pseudo_ites(a, bounds).values))
 
     def test_degenerate_with_no_redraws_errors(self):
         s = tiny_margin_sample(2)   # margins (2, 2): most resamples degenerate
@@ -157,12 +158,14 @@ class TestBootstrapPseudoItes:
         failures = successes = 0
         for r in range(20):
             try:
-                bootstrap_pseudo_ites(s, bounds, cfg, r)
+                _draw_estimable_resample(s, cfg, r, 0)
                 successes += 1
             except ReplicationError as err:
-                assert err.attempts == 1
+                assert err.attempts == 1 and err.replication == r
                 failures += 1
         assert failures > 0 and successes > 0
+        with pytest.raises(ReplicationError):
+            draw_replicates(s, bounds, cfg)
 
     def test_redraws_recover_and_are_counted(self):
         s = tiny_margin_sample(2)

@@ -458,13 +458,36 @@ def test_bad_value_is_one_config_error_from_flag_or_file(
     assert not (tmp_path / "out").exists()
 
 
-def _run_without(module: str, argv: list[str]) -> subprocess.CompletedProcess:
+@pytest.mark.parametrize("command, key", [
+    ("table1", "reps"), ("figure2", "tau"), ("analyze", "report"), ("oracle", "tau")])
+def test_null_config_value_is_config_error(command, key, bench_csv, tmp_path, capsys,
+                                           monkeypatch):
+    # every key a command reads must be present, so a null cannot reach the work
+    import itedist.benchmark_sim
+    import itedist.cli
+    monkeypatch.setattr(itedist.cli, "ingest_csv", _unreachable)
+    monkeypatch.setattr(itedist.benchmark_sim, "run_coverage", _unreachable)
+    monkeypatch.setattr(itedist.benchmark_sim, "gaussian_diagnostic", _unreachable)
+    prefix = {"analyze": ["analyze", "--input", str(bench_csv)],
+              "oracle": ["oracle", "--v", "2"]}.get(command, ["simulate", command])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: None}))
+    assert run_cli(*prefix, "--config", str(cfg_path),
+                   "--output", str(tmp_path / "out")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"command": prefix[0], "error": "config",
+                   "message": f"--{key} is required"}
+    assert not (tmp_path / "out").exists()
+
+
+def _run_without(modules: tuple[str, ...], argv: list[str]) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter that exits nonzero if importing
-    ``itedist.cli`` or running the command loads ``module``."""
+    ``itedist.cli`` or running the command loads any of ``modules``."""
     import itedist
+    loaded = f"[m for m in {modules!r} if m in sys.modules]"
     script = ("import sys; from itedist.cli import main; "
-              f"assert {module!r} not in sys.modules, 'import'; code = main(sys.argv[1:]); "
-              f"assert {module!r} not in sys.modules, sys.argv[1]; sys.exit(code)")
+              f"assert not {loaded}, {loaded}; code = main(sys.argv[1:]); "
+              f"assert not {loaded}, (sys.argv[1], {loaded}); sys.exit(code)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(itedist.__file__).parent.parent), env.get("PYTHONPATH", "")])
@@ -472,17 +495,23 @@ def _run_without(module: str, argv: list[str]) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_analyze_leaves_scipy_unloaded(bench_csv, tmp_path):
-    # scipy serves only the benchmark harness (simulate, oracle)
-    result = _run_without("scipy", ["analyze", "--input", str(bench_csv), "--bootstrap",
-                                    "5", "--output", str(tmp_path / "r.json")])
-    assert result.returncode == 0, result.stderr
+def test_commands_leave_scipy_unloaded(bench_csv, split_csv, tmp_path):
+    # scipy is a test dependency only, and numpy.ma is what np.unique would load
+    runs = [_report_argv("analyze", bench_csv, split_csv, tmp_path),
+            _report_argv("compare", bench_csv, split_csv, tmp_path),
+            ["simulate", "table2", "--n", "120", "--reps", "2", "--B", "10",
+             "--grid-size", "9", "--output", str(tmp_path / "t2.csv")],
+            ["oracle", "--tau", "0.5", "--v", "2", "--y", "2.25"]]
+    for argv in runs:
+        result = _run_without(("scipy", "numpy.ma"), argv)
+        assert result.returncode == 0, result.stderr
 
 
 def test_simulate_leaves_jsonschema_unloaded(tmp_path):
     # jsonschema only validates JSON reports, and simulate writes CSV
-    result = _run_without("jsonschema", ["simulate", "table1", "--n", "120", "--reps", "2",
-                                         "--B", "10", "--output", str(tmp_path / "t1.csv")])
+    result = _run_without(("jsonschema",), ["simulate", "table1", "--n", "120", "--reps",
+                                            "2", "--B", "10",
+                                            "--output", str(tmp_path / "t1.csv")])
     assert result.returncode == 0, result.stderr
 
 
@@ -503,8 +532,8 @@ def _report_argv(command, bench_csv, split_csv, tmp_path) -> list[str]:
 def test_report_command_leaves_jsonschema_unloaded(command, bench_csv, split_csv,
                                                    tmp_path):
     # reports are checked against their schema without the jsonschema package
-    result = _run_without("jsonschema", _report_argv(command, bench_csv, split_csv,
-                                                     tmp_path))
+    result = _run_without(("jsonschema",),
+                          _report_argv(command, bench_csv, split_csv, tmp_path))
     assert result.returncode == 0, result.stderr
 
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from itedist import (Bounds, ColumnMap, EmptySelectionError, EstimabilityError,
-                     GroupSelector, IngestError, Observation, Sample,
+                     GroupSelector, IngestError, Sample,
                      check_estimability, estimate_bounds, generate, ingest_csv,
                      min_instrument_margin, sample_to_csv, select_group)
 from itedist._rng import derive_stream
@@ -21,22 +21,6 @@ from conftest import RETIREMENT_COLUMNS
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
-
-
-class TestObservation:
-    def test_valid(self):
-        obs = Observation(y=1.5, d=1, z=0, x=(2, 3))
-        assert obs.x == (2, 3)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(y=1.0, d=2, z=0, x=()),
-        dict(y=1.0, d=0, z=-1, x=()),
-        dict(y=float("nan"), d=0, z=0, x=()),
-        dict(y=float("inf"), d=0, z=0, x=()),
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            Observation(**kwargs)
 
 
 class TestSample:
@@ -52,14 +36,16 @@ class TestSample:
         assert s.cells == [()]
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            Sample(outcomes=[1.0], treatments=[2], instruments=[0],
-                   covariates=np.zeros((1, 0), dtype=int))
+        for d, z in ((2, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                Sample(outcomes=[1.0], treatments=[d], instruments=[z],
+                       covariates=np.zeros((1, 0), dtype=int))
 
     def test_rejects_nan_outcome(self):
-        with pytest.raises(ValueError):
-            Sample(outcomes=[float("nan")], treatments=[0], instruments=[0],
-                   covariates=np.zeros((1, 0), dtype=int))
+        for y in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Sample(outcomes=[y], treatments=[0], instruments=[0],
+                       covariates=np.zeros((1, 0), dtype=int))
 
     def test_immutable(self, two_cell_sample):
         with pytest.raises(ValueError):
@@ -69,11 +55,6 @@ class TestSample:
         taken = two_cell_sample.take([3, 1, 1])
         assert taken.n == 3
         assert taken.outcomes[1] == taken.outcomes[2] == two_cell_sample.outcomes[1]
-
-    def test_row_roundtrip(self, two_cell_sample):
-        obs = two_cell_sample.row(5)
-        assert obs.y == two_cell_sample.outcomes[5]
-        assert obs.x == tuple(two_cell_sample.covariates[5])
 
     @given(st.permutations(list(range(12))), st.sampled_from([0, -2]))
     @settings(max_examples=25, deadline=None)

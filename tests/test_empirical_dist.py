@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itedist import ecdf, iqr, make_grid, prob_positive, quantile
-from itedist.empirical_dist import (Grid, default_level_grid, default_value_grid)
+from itedist.empirical_dist import Grid, default_value_grid
 
 values_arrays = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False, width=64),
@@ -146,9 +146,6 @@ class TestGrid:
             Grid(kind="nope", points=np.array([0.1, 0.2]))
 
     def test_defaults(self):
-        level = default_level_grid()
-        assert level.kind == "levels" and level.size == 161
-        assert (level.points[0], level.points[-1]) == (0.1, 0.9)
         values = np.linspace(0.0, 10.0, 500)
         value_grid = default_value_grid(values)
         assert value_grid.points[0] == quantile(values, 0.05)
