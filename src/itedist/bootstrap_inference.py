@@ -4,11 +4,12 @@ Only ``draw_replicates`` and ``two_group_quantile_replicates`` resample: they
 draw rows with replacement, recompute the leave-one-out pseudo treatment
 effects on each resample (holding the original outcome bounds fixed), and
 keep the sorted effects or per-level quantiles of every replication.  Each
-replication's resample comes from its own keyed stream; a chunk of accepted
-resamples is stacked into one sample whose cells are (replication, cell), so
-one ``pseudo_ites`` call fits the whole chunk, and each replication's effects
-are split back out before sorting.  A row's effect depends only on its cell,
-so the chunking never changes a result.  Every
+replication's resample comes from its own keyed stream and carries its
+parent's cell codes.  A chunk of accepted resamples is stacked into one sample
+whose cells are (replication, cell), the codes offset rather than sorted
+again, so one ``pseudo_ites`` call fits the whole chunk, and each
+replication's effects are split back out before sorting.  A row's effect
+depends only on its cell, so the chunking never changes a result.  Every
 inference product is a pure function of one such replicate set and the
 level and grid it is asked for: it reads off percentile intervals or
 sup-statistic critical values from the replication order statistics.  The
@@ -33,7 +34,7 @@ import numpy as np
 
 from ._rng import derive_stream, parallel_map
 from .counterfactual import pseudo_ites
-from .data_model import Bounds, Sample, min_instrument_margin
+from .data_model import Bounds, Sample, min_instrument_margin, stack
 from .empirical_dist import Grid, iqr
 
 logger = logging.getLogger(__name__)
@@ -178,7 +179,7 @@ def percentile_interval(values, alpha: float) -> tuple[float, float]:
 
 
 def resample(sample: Sample, rng: np.random.Generator) -> Sample:
-    """n rows drawn i.i.d. uniformly with replacement; cells rebuilt."""
+    """n rows drawn i.i.d. uniformly with replacement; cell codes carried over."""
     indices = rng.integers(0, sample.n, size=sample.n)
     return sample.take(indices)
 
@@ -233,19 +234,14 @@ def _fit_stacked(drawn: list[tuple[Sample, int]], bounds: Bounds,
     """Sorted pseudo-ITEs of the resamples of replications ``chunk``, and
     their redraws; ``drawn`` holds each resample with its redraw count.
 
-    The resamples are stacked into one sample whose covariates lead with the
-    replication index, so its cells are (replication, cell) and one
-    :func:`pseudo_ites` call fits every replication against the original
+    The resamples are stacked into one sample whose cells are (replication,
+    cell), their codes offset by the cells of the resamples before them, so
+    one :func:`pseudo_ites` call fits every replication against the original
     bounds of its cell.
     """
     draws = [draw for draw, _ in drawn]
     n = draws[0].n
-    index = np.repeat(np.array(chunk), n)[:, None]
-    stacked = Sample(
-        outcomes=np.concatenate([draw.outcomes for draw in draws]),
-        treatments=np.concatenate([draw.treatments for draw in draws]),
-        instruments=np.concatenate([draw.instruments for draw in draws]),
-        covariates=np.hstack((index, np.vstack([draw.covariates for draw in draws]))))
+    stacked = stack(draws, chunk)
     stacked_bounds = Bounds({(d, (r, *cell)): support
                              for r in chunk
                              for (d, cell), support in bounds.by_group.items()})

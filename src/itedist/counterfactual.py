@@ -487,13 +487,12 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
     Raises :class:`EstimabilityError` if any cell has an instrument arm with
     fewer than two observations (leaving that row out would empty the arm).
     """
-    cells = list(sample.cell_index)
-    sizes = np.array([len(rows) for rows in sample.cell_index.values()])
-    rows = np.concatenate(list(sample.cell_index.values()))
-    cell = np.repeat(np.arange(len(cells)), sizes)
-    y = sample.outcomes[rows]
-    d = sample.treatments[rows].astype(np.intp)
-    z = sample.instruments[rows]
+    cells = sample.cell_table
+    sizes = sample.cell_sizes
+    cell = sample.cell_codes
+    y = sample.outcomes
+    d = sample.treatments.astype(np.intp)
+    z = sample.instruments
     n_z1 = np.bincount(cell[z == 1], minlength=len(cells))
     thin = np.flatnonzero(np.minimum(n_z1, sizes - n_z1) < 2)
     if len(thin):
@@ -512,7 +511,7 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
     queried = np.flatnonzero(has_queries)
     for grp in queried.tolist():
         lo[grp], hi[grp] = bounds.for_group(grp % 2, cells[grp // 2])
-    n = len(rows)
+    n = sample.n
     group = np.concatenate((2 * cell + d, queried, queried))
     values = np.concatenate((y, lo[queried], hi[queried]))
     order = np.argsort(values)   # ties within a group may come in any order
@@ -552,11 +551,10 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
     phi = _smallest_minimizers(values, group, w_match, w_other, lo, hi, problems // 2,
                                n_match[first], n_other[first], q_problem, k)
 
-    targets = rows[src]
-    effects = np.empty(sample.n, dtype=np.float64)
-    effects[targets] = np.where(target == 1, phi - y[src], y[src] - phi)
-    maps = np.empty(sample.n, dtype=np.int8)
-    maps[targets] = target
-    minimizers = np.empty(sample.n, dtype=np.float64)
-    minimizers[targets] = phi
+    effects = np.empty(n, dtype=np.float64)
+    effects[src] = np.where(target == 1, phi - y[src], y[src] - phi)
+    maps = np.empty(n, dtype=np.int8)
+    maps[src] = target
+    minimizers = np.empty(n, dtype=np.float64)
+    minimizers[src] = phi
     return PseudoIteVector(values=effects, map_treatment=maps, minimizers=minimizers)

@@ -2,16 +2,24 @@
 
 A sample is a collection of rows (outcome, binary treatment, binary
 instrument, integer-coded covariates).  All estimation downstream is local to
-a covariate cell, i.e. the subsample sharing one covariate value, so the
-sample carries an index from each covariate value to its row positions.
-Samples are immutable after construction and safe to share across workers.
+a covariate cell, i.e. the subsample sharing one covariate value.  The cells
+are factorized once, when a sample is built from raw covariates: each row
+carries an integer cell code, its cell's position in a table of the distinct
+covariate values in ascending order.  A subsample or resample (``take``) and
+a stack of resamples (``stack``) carry the codes over and compact the table,
+so they never sort covariates again.  The covariate matrix and the index from
+each covariate value to its row positions are derived from the codes when
+first asked for.  Samples are immutable after construction and safe to share
+across workers.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
@@ -32,35 +40,38 @@ class EmptySelectionError(ValueError):
     """A group selector matches no observation."""
 
 
-@dataclass(frozen=True, eq=False)
 class Sample:
-    """Row-ordered data with an index of covariate cells.
+    """Row-ordered data with its covariate cells coded as integers.
 
     Attributes
     ----------
     outcomes, treatments, instruments : ndarray
         Row-aligned arrays (float, 0/1 int, 0/1 int).
+    cell_codes : ndarray
+        The ``intp`` cell code of each row: its cell's position in
+        ``cell_table``.
+    cell_table : tuple
+        The covariate value of each cell, in ascending covariate order.
+        Every cell holds at least one row.  With no covariates all rows
+        share the single empty cell ``()``.
+    cell_sizes : ndarray
+        Number of rows of each cell, aligned with ``cell_table``.
     covariates : ndarray
-        Integer matrix of shape ``(n, k)``; ``k`` may be zero, in which case
-        all rows share the single empty cell ``()``.
+        Integer matrix of shape ``(n, k)``, derived from the codes on first
+        use (``k`` may be zero).
     cell_index : dict
-        Maps each covariate value to the ascending row positions holding it.
-        The cells partition ``range(n)``.
+        Maps each covariate value, in table order, to the ascending row
+        positions holding it; derived from the codes on first use.  The
+        cells partition ``range(n)``.
     """
 
-    outcomes: np.ndarray
-    treatments: np.ndarray
-    instruments: np.ndarray
-    covariates: np.ndarray
-    cell_index: dict[Cell, np.ndarray] = field(default=None)
-
-    def __post_init__(self):
-        y = np.ascontiguousarray(np.asarray(self.outcomes, dtype=np.float64))
-        d = np.ascontiguousarray(np.asarray(self.treatments, dtype=np.int8))
-        z = np.ascontiguousarray(np.asarray(self.instruments, dtype=np.int8))
-        x = np.asarray(self.covariates, dtype=np.int64)
-        if x.ndim == 1:
-            x = x.reshape(len(x), 1)
+    def __init__(self, outcomes, treatments, instruments, covariates):
+        y = np.asarray(outcomes, dtype=np.float64)
+        if y.ndim != 1:
+            raise ValueError(f"outcomes must be one-dimensional, got {y.ndim} dimensions")
+        d = _indicator(treatments, "treatments")
+        z = _indicator(instruments, "instruments")
+        x = _covariate_codes(covariates)
         n = len(y)
         if not (len(d) == len(z) == len(x) == n):
             raise ValueError("outcome, treatment, instrument, covariate lengths differ")
@@ -69,15 +80,28 @@ class Sample:
         if not np.all(np.isfinite(y)):
             bad = int(np.flatnonzero(~np.isfinite(y))[0])
             raise ValueError(f"non-finite outcome at row {bad}")
-        if not np.all((d == 0) | (d == 1)):
-            raise ValueError("treatment indicator must be 0/1")
-        if not np.all((z == 0) | (z == 1)):
-            raise ValueError("instrument indicator must be 0/1")
-        for name, arr in (("outcomes", y), ("treatments", d),
-                          ("instruments", z), ("covariates", x)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "cell_index", _build_cell_index(x))
+        codes, table = _factorize(x)
+        x.setflags(write=False)
+        self.__dict__["covariates"] = x
+        self._set(np.ascontiguousarray(y), d, z, codes, table,
+                  np.bincount(codes, minlength=len(table)))
+
+    def _set(self, y, d, z, codes, table, sizes) -> None:
+        for name, value in (("outcomes", y), ("treatments", d), ("instruments", z),
+                            ("cell_codes", codes), ("cell_sizes", sizes)):
+            value.setflags(write=False)
+            self.__dict__[name] = value
+        self.__dict__["cell_table"] = table
+
+    @classmethod
+    def _coded(cls, y, d, z, codes, table, sizes) -> "Sample":
+        """A sample from already checked rows and their cell codes."""
+        sample = cls.__new__(cls)
+        sample._set(y, d, z, codes, table, sizes)
+        return sample
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: samples are immutable")
 
     @property
     def n(self) -> int:
@@ -85,42 +109,118 @@ class Sample:
 
     @property
     def n_covariates(self) -> int:
-        return self.covariates.shape[1]
+        return len(self.cell_table[0])
 
     @property
     def cells(self) -> list[Cell]:
-        return list(self.cell_index.keys())
+        return list(self.cell_table)
+
+    @cached_property
+    def covariates(self) -> np.ndarray:
+        x = np.array(self.cell_table, dtype=np.int64)[self.cell_codes]
+        x.setflags(write=False)
+        return x
+
+    @cached_property
+    def cell_index(self) -> dict[Cell, np.ndarray]:
+        order = np.argsort(self.cell_codes, kind="stable")
+        index: dict[Cell, np.ndarray] = {}
+        for cell, rows in zip(self.cell_table,
+                              np.split(order, np.cumsum(self.cell_sizes)[:-1])):
+            rows.setflags(write=False)
+            index[cell] = rows
+        return index
 
     def cell_rows(self, cell: Cell) -> np.ndarray:
         return self.cell_index[cell]
 
     def take(self, indices) -> "Sample":
-        """New sample holding the given rows, in the given order."""
+        """New sample holding the given rows, in the given order.
+
+        The rows keep their parent's cell codes; cells the rows miss are
+        dropped from the table and the codes above them shifted down.
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        return Sample(
-            outcomes=self.outcomes[idx],
-            treatments=self.treatments[idx],
-            instruments=self.instruments[idx],
-            covariates=self.covariates[idx],
-        )
+        if idx.ndim != 1 or len(idx) == 0:
+            raise ValueError("take needs a non-empty one-dimensional index array")
+        codes = self.cell_codes[idx]
+        sizes = np.bincount(codes, minlength=len(self.cell_table))
+        table = self.cell_table
+        present = sizes > 0
+        if not present.all():
+            codes = (np.cumsum(present) - 1)[codes]
+            table = tuple(itertools.compress(table, present.tolist()))
+            sizes = sizes[present]
+        return Sample._coded(self.outcomes[idx], self.treatments[idx],
+                             self.instruments[idx], codes, table, sizes)
 
 
-def _build_cell_index(x: np.ndarray) -> dict[Cell, np.ndarray]:
+def stack(samples: Sequence[Sample], labels: Sequence[int]) -> Sample:
+    """The samples' rows one after another, each cell keyed by its sample's label.
+
+    A cell ``x`` of the sample labelled ``r`` becomes the cell ``(r, *x)`` of
+    the result, so with ascending labels the table stays in ascending order.
+    """
+    offsets = np.cumsum([0] + [len(s.cell_table) for s in samples[:-1]])
+    return Sample._coded(
+        np.concatenate([s.outcomes for s in samples]),
+        np.concatenate([s.treatments for s in samples]),
+        np.concatenate([s.instruments for s in samples]),
+        np.concatenate([s.cell_codes + offset for s, offset in zip(samples, offsets)]),
+        tuple((r, *cell) for r, s in zip(labels, samples) for cell in s.cell_table),
+        np.concatenate([s.cell_sizes for s in samples]))
+
+
+def _indicator(values, name: str) -> np.ndarray:
+    """A 0/1 column as ``int8``, checked on the values as given."""
+    raw = np.asarray(values)
+    if raw.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got {raw.ndim} dimensions")
+    ok = (raw == 0) | (raw == 1) if raw.dtype.kind in "biuf" else np.zeros(len(raw), bool)
+    if not np.all(ok):
+        bad = int(np.flatnonzero(~ok)[0])
+        raise ValueError(f"{name} must be 0 or 1, got {raw.tolist()[bad]!r} at row {bad}")
+    return np.ascontiguousarray(raw, dtype=np.int8)
+
+
+def _covariate_codes(values) -> np.ndarray:
+    """Covariates as an ``(n, k)`` ``int64`` matrix, checked before the cast:
+    every value an integer within the 64-bit range."""
+    raw = np.asarray(values)
+    if raw.ndim == 1:
+        raw = raw.reshape(len(raw), 1)
+    if raw.ndim != 2:
+        raise ValueError(f"covariates must be a 1-D or 2-D array, got {raw.ndim} dimensions")
+    kind = raw.dtype.kind
+    if kind == "f":
+        ok = np.isfinite(raw) & (raw == np.floor(raw)) & (raw >= -2.0**63) & (raw < 2.0**63)
+    elif kind == "u":
+        ok = raw <= np.iinfo(np.int64).max
+    elif kind in "bi":
+        ok = np.ones(raw.shape, bool)
+    else:
+        raise ValueError(f"covariates must be integer codes, got dtype {raw.dtype}")
+    if not np.all(ok):
+        row, col = np.argwhere(~ok)[0]
+        raise ValueError(f"covariates must be integer codes that fit in 64 bits, "
+                         f"got {raw[row, col].item()!r} at row {row}, column {col}")
+    return np.array(raw, dtype=np.int64)
+
+
+def _factorize(x: np.ndarray) -> tuple[np.ndarray, tuple[Cell, ...]]:
+    """Cell code of each row and the table of cells in ascending covariate order."""
     n, k = x.shape
     if k == 0:
-        rows = np.arange(n, dtype=np.intp)
-        rows.setflags(write=False)
-        return {(): rows}
-    # Stable lexicographic sort: cells in ascending covariate order, rows
-    # ascending within each cell.
+        return np.zeros(n, dtype=np.intp), ((),)
+    # Stable lexicographic sort; a cell starts where a sorted row differs
+    # from the one before it.
     order = np.lexsort(x.T[::-1])
     ordered = x[order]
-    boundaries = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
-    index: dict[Cell, np.ndarray] = {}
-    for rows in np.split(order.astype(np.intp), boundaries):
-        rows.setflags(write=False)
-        index[tuple(int(v) for v in x[rows[0]])] = rows
-    return index
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    codes = np.empty(n, dtype=np.intp)
+    codes[order] = np.cumsum(starts) - 1
+    return codes, tuple(map(tuple, ordered[starts].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +298,7 @@ class GroupSelector:
         return True
 
     def selected_cells(self, sample: Sample) -> set[Cell]:
-        return {cell for cell in sample.cell_index if self.matches(cell)}
+        return {cell for cell in sample.cell_table if self.matches(cell)}
 
     def disjoint_on(self, other: "GroupSelector", sample: Sample) -> bool:
         return not (self.selected_cells(sample) & other.selected_cells(sample))
@@ -211,13 +311,12 @@ def select_group(sample: Sample, selector: GroupSelector) -> Sample:
     original row order is preserved.  Raises :class:`EmptySelectionError` if
     nothing matches.
     """
-    keep = [cell for cell in sample.cell_index if selector.matches(cell)]
-    if not keep:
+    keep = np.array([selector.matches(cell) for cell in sample.cell_table])
+    if not keep.any():
         raise EmptySelectionError(f"selector {selector.atoms!r} matches no observation")
-    if len(keep) == len(sample.cell_index):
+    if keep.all():
         return sample
-    rows = np.sort(np.concatenate([sample.cell_index[c] for c in keep]))
-    return sample.take(rows)
+    return sample.take(np.flatnonzero(keep[sample.cell_codes]))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +396,7 @@ def check_estimability(sample: Sample, min_per_group: int = 10) -> EstimabilityR
     the computation.
     """
     records = []
-    for cell, rows in sorted(sample.cell_index.items()):
+    for cell, rows in sample.cell_index.items():
         z_cell = sample.instruments[rows]
         d_cell = sample.treatments[rows]
         n_z = (int((z_cell == 0).sum()), int((z_cell == 1).sum()))
@@ -321,17 +420,17 @@ def check_estimability(sample: Sample, min_per_group: int = 10) -> EstimabilityR
 
 
 def min_instrument_margin(sample: Sample) -> int:
-    """Smallest instrument-margin count over all cells.
+    """Smallest instrument-margin count over the cells of the sample.
 
     Leave-one-out estimation needs at least 2 observations on each margin of
     every cell, so a value below 2 means pseudo-ITE estimation must fail (or,
-    for a bootstrap draw, that the resample is degenerate).
+    for a bootstrap draw, that the resample is degenerate).  A resample holds
+    only the cells it drew rows from, so a cell it missed entirely is not
+    counted: that replication simply has no effects for the cell.
     """
-    smallest = sample.n
-    for rows in sample.cell_index.values():
-        n1 = int(sample.instruments[rows].sum())
-        smallest = min(smallest, n1, len(rows) - n1)
-    return smallest
+    counts = np.bincount(2 * sample.cell_codes + sample.instruments,
+                         minlength=2 * len(sample.cell_table))
+    return int(counts.min())
 
 
 # ---------------------------------------------------------------------------

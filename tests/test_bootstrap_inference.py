@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from itedist import (BootstrapConfig, NORMAL_QUARTILE_SPREAD,
-                     bootstrap_inference, min_instrument_margin,
-                     ReplicationError, Sample, ci_cdf,
+from itedist import (BootstrapConfig, GroupSelector, NORMAL_QUARTILE_SPREAD,
+                     bootstrap_inference, data_model, min_instrument_margin,
+                     ReplicationError, Sample, select_group, ci_cdf,
                      ci_prob_positive, ci_quantile_and_iqr, compare_quantiles,
                      draw_replicates, estimate_bounds, generate, make_grid,
                      percentile_interval, pseudo_ites, resample,
@@ -223,6 +223,53 @@ class TestChunkedReplicates:
             assert np.array_equal(reps.sorted_values[r],
                                   np.sort(pseudo_ites(draw, bounds).values))
         assert reps.redraws == redraws
+
+
+    def test_resample_missing_a_cell_fits_the_present_cells(self):
+        # Cell -2 holds 4 of 20 rows; replication 3 of seed 0 draws none of
+        # them.  The margin check counts only the cells a resample holds, so
+        # the draw is kept as it is and its fit covers cell -1 alone.
+        sample = Sample(outcomes=[*map(float, range(1, 17)), 1.5, 2.5, 3.5, 4.5],
+                        treatments=[0, 1, 1, 0] * 5, instruments=[0, 1, 0, 1] * 5,
+                        covariates=[[-1]] * 16 + [[-2]] * 4)
+        bounds = estimate_bounds(sample)
+        cfg = BootstrapConfig(n_replications=5, seed=0, max_redraws=1000)
+        draw, redraws = _draw_estimable_resample(sample, cfg, 3, 0)
+        assert redraws == 0
+        assert draw.cells == [(-1,)] and draw.cell_sizes.tolist() == [20]
+        assert min_instrument_margin(draw) >= 2
+        fitted = []
+
+        def recording(stacked, stacked_bounds):
+            fitted.append(stacked)
+            return pseudo_ites(stacked, stacked_bounds)
+
+        with mock.patch.object(bootstrap_inference, "pseudo_ites", recording):
+            reps = draw_replicates(sample, bounds, cfg)
+        (stacked,) = fitted[1:]   # the point fit, then one stacked chunk
+        assert (3, -1) in stacked.cell_table and (3, -2) not in stacked.cell_table
+        assert all(size > 0 for size in stacked.cell_sizes)
+        assert np.array_equal(reps.sorted_values[3], np.sort(pseudo_ites(draw, bounds).values))
+
+
+class TestCellCodesCarriedOver:
+    def test_no_factorization_while_resampling(self, two_cell_sample):
+        # Cells are factorized when a sample is built from raw covariates;
+        # the bootstrap only carries the codes over.
+        sample = two_cell_sample
+        group0, group1 = (select_group(sample, GroupSelector(((0, "=", v),)))
+                          for v in (0, 1))
+        bounds, bounds0, bounds1 = map(estimate_bounds, (sample, group0, group1))
+        cfg = BootstrapConfig(n_replications=6, seed=4, max_redraws=1000)
+        with mock.patch.object(data_model, "_factorize",
+                               wraps=data_model._factorize) as factorize:
+            draw_replicates(sample, bounds, cfg)
+            two_group_quantile_replicates(group0, group1, bounds0, bounds1, cfg,
+                                          [0.25, 0.5, 0.75])
+            assert factorize.call_count == 0
+            Sample(outcomes=sample.outcomes, treatments=sample.treatments,
+                   instruments=sample.instruments, covariates=sample.covariates)
+            assert factorize.call_count == 1
 
 
 class TestIntervals:

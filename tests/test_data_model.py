@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from itedist import (Bounds, ColumnMap, EmptySelectionError, EstimabilityError,
                      GroupSelector, IngestError, Sample,
-                     check_estimability, estimate_bounds, generate, ingest_csv,
-                     min_instrument_margin, sample_to_csv, select_group)
+                     check_estimability, data_model, estimate_bounds, generate,
+                     ingest_csv, min_instrument_margin, sample_to_csv, select_group)
 from itedist._rng import derive_stream
 
 from conftest import RETIREMENT_COLUMNS
@@ -72,6 +73,113 @@ class TestSample:
         assert list(shuffled.cell_index) == sorted(expected)
         for cell, rows in shuffled.cell_index.items():
             assert rows.tolist() == expected[cell]
+
+    _ROWS = dict(outcomes=[1.0, 2.0, 3.0, 4.0], treatments=[0, 1, 0, 1],
+                 instruments=[0, 0, 1, 1], covariates=[0, 0, 1, 1])
+
+    # Each value reads as a valid one once cast; it must be refused as given.
+    @pytest.mark.parametrize("field, value", [
+        ("treatments", [0.4, 1, 0, 1]),
+        ("treatments", np.array([256, 1, 0, 1])),
+        ("instruments", np.array([257, 0, 1, 1])),
+        ("instruments", [0, 0.9, 1, 1]),
+        ("covariates", [0.5, 1.7, 0.2, 1.2]),
+        ("covariates", np.array([2**63 + 5, 0, 1, 1], dtype=np.uint64)),
+        ("covariates", np.zeros((4, 1, 1), dtype=int)),
+    ], ids=["treatment-fraction", "treatment-256", "instrument-257",
+            "instrument-fraction", "covariate-fractions", "covariate-uint64-wraps",
+            "covariate-3d"])
+    def test_rejects_values_a_cast_would_change(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Sample(**{**self._ROWS, field: value})
+
+    def test_accepts_integral_values_of_any_numeric_dtype(self):
+        sample = Sample(outcomes=[1.0, 2.0], treatments=[False, True],
+                        instruments=np.array([1.0, 0.0]),
+                        covariates=np.array([3.0, -2.0**63]))
+        assert sample.treatments.tolist() == [0, 1]
+        assert sample.instruments.tolist() == [1, 0]
+        assert sample.cells == [(-2**63,), (3,)]
+        wide = Sample(outcomes=[1.0, 2.0], treatments=[0, 1], instruments=[1, 0],
+                      covariates=np.array([2**63 - 1, 0], dtype=np.uint64))
+        assert wide.cells == [(0,), (2**63 - 1,)]
+
+    def test_fields_cannot_be_reassigned(self, two_cell_sample):
+        with pytest.raises(AttributeError):
+            two_cell_sample.outcomes = np.zeros(two_cell_sample.n)
+
+
+def _reference_cell_index(x: np.ndarray) -> dict:
+    """Cells by a lexicographic sort of the covariate rows, as a dict of tuples."""
+    n, k = x.shape
+    if k == 0:
+        return {(): np.arange(n)}
+    order = np.lexsort(x.T[::-1])
+    ordered = x[order]
+    boundaries = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
+    return {tuple(int(v) for v in x[rows[0]]): rows for rows in np.split(order, boundaries)}
+
+
+_CODES = st.one_of(st.integers(-3, 3), st.sampled_from([-2**63, -2**63 + 1, 2**63 - 1]))
+
+
+@st.composite
+def covariate_matrices(draw):
+    n = draw(st.integers(1, 25))
+    k = draw(st.integers(0, 3))
+    values = draw(st.lists(_CODES, min_size=n * k, max_size=n * k))
+    return np.array(values, dtype=np.int64).reshape(n, k)
+
+
+class TestCellCodes:
+    @given(covariate_matrices(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cell_index_matches_sorted_reference(self, x, data):
+        n = len(x)
+        sample = Sample(outcomes=np.zeros(n), treatments=np.zeros(n, dtype=int),
+                        instruments=np.zeros(n, dtype=int), covariates=x)
+        picked = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        for s, rows in ((sample, x), (sample.take(picked), x[picked])):
+            expected = _reference_cell_index(rows)
+            assert list(s.cell_index) == list(expected) == s.cells
+            for cell, got in s.cell_index.items():
+                assert got.dtype == np.intp and got.tolist() == expected[cell].tolist()
+            assert s.covariates.tolist() == rows.tolist()
+            assert s.n_covariates == x.shape[1]
+            assert s.cell_sizes.tolist() == [len(r) for r in expected.values()]
+            assert np.all(s.cell_sizes > 0)
+
+    def test_taking_rows_of_one_cell_drops_the_others(self, two_cell_sample):
+        _, second = two_cell_sample.cells
+        taken = two_cell_sample.take(two_cell_sample.cell_index[second][::-1])
+        assert taken.cells == [second]
+        assert list(taken.cell_index) == [second]
+        assert taken.cell_codes.tolist() == [0] * taken.n
+        assert [c.cell for c in check_estimability(taken).cells] == [second]
+        assert {cell for _, cell in estimate_bounds(taken).by_group} == {second}
+
+    def test_selection_keeps_only_its_cells(self, retirement_csv):
+        sample = ingest_csv(retirement_csv, RETIREMENT_COLUMNS).sample
+        cols = list(RETIREMENT_COLUMNS.covariates)
+        for expression in ("inc>1", "inc<=1"):
+            sel = GroupSelector.parse(expression, cols)
+            group = select_group(sample, sel)
+            kept = [cell for cell in sample.cells if sel.matches(cell)]
+            assert group.cells == list(group.cell_index) == kept
+            assert [c.cell for c in check_estimability(group).cells] == kept
+            assert {cell for _, cell in estimate_bounds(group).by_group} == set(kept)
+            assert min_instrument_margin(group) == min(
+                min(c.n_instrument) for c in check_estimability(group).cells)
+
+    def test_factorized_only_from_raw_covariates(self, two_cell_sample):
+        with mock.patch.object(data_model, "_factorize",
+                               wraps=data_model._factorize) as factorize:
+            taken = two_cell_sample.take([5, 0, 3])
+            select_group(two_cell_sample, GroupSelector(atoms=((0, "=", 1),)))
+            data_model.stack([taken, taken], [0, 1])
+            assert factorize.call_count == 0
+            Sample(outcomes=[1.0], treatments=[0], instruments=[1], covariates=[[4]])
+            assert factorize.call_count == 1
 
 
 # Field values for the columns y, d, z, g, h: valid ones (``g`` integer codes
