@@ -37,15 +37,20 @@ sample in one kernel call, over concatenated arrays with problem ids, so a
 fit costs a fixed number of array operations per pass, not per problem:
 
 * one sort by (cell, treatment, outcome) serves both arms of every (cell,
-  target); the integer slopes of ``F`` between candidates come from
-  cumulative arm counts, and segmented prefix sums (Hillis and Steele's
-  doubling scan) give ``F`` at the candidates;
-* only candidates where the slope strictly rises can be hull vertices; an
-  elimination pass deletes, in every problem at once, each of these points
-  that lies on or above the chord of its current neighbours, and later
-  passes re-test only the neighbours of deleted points;
-* one ``searchsorted`` over every problem's monotone bounds on its hull edge
-  slopes, keyed by problem, answers every query.
+  target), and one pass of cumulative arm counts over it gives both the
+  queries' sign sums and the integer slopes of ``F`` between candidates;
+  segmented prefix sums (Hillis and Steele's doubling scan, over contiguous
+  slices) give ``F`` at the candidates;
+* only candidates where the slope strictly rises can be hull vertices; the
+  slope of the edge from each of these points to its successor, with its
+  error bound, is computed once and kept.  An elimination pass deletes, in
+  every problem at once, each point that lies on or above the chord of its
+  current neighbours, reading its two edges from that store; it computes
+  only the edges that join the survivors, and later passes re-test only the
+  neighbours of deleted points;
+* one ``searchsorted`` over every problem's monotone upper bounds on its
+  hull edge slopes, keyed by problem, answers every query; a second one,
+  over the lower bounds, runs only for the queries those leave in doubt.
 
 The result is exact, not merely close.  An edge between adjacent candidates
 spans one segment, so its slope is that segment's integer slope, exact in
@@ -235,12 +240,13 @@ def minimize_objective(ctx: ObjectiveContext, i, y: float) -> float:
     in_match = np.concatenate((ctx.row_z[keep] == ctx.target, [False, False]))
     in_other = np.concatenate((ctx.row_z[keep] != ctx.target, [False, False]))
     order = np.argsort(values)
+    group = np.zeros(len(values), dtype=np.intp)
     one = np.zeros(1, dtype=np.intp)
     k = np.array([n_match * int(g_other) - n_other * int(g_match)], dtype=np.int64)
     return float(_smallest_minimizers(
-        values[order], np.zeros(len(values), dtype=np.intp), in_match[order],
-        in_other[order], np.array([ctx.lower]), np.array([ctx.upper]),
-        one, np.array([n_match]), np.array([n_other]), one, k)[0])
+        values[order], group, _arm_balance(group, in_match[order], 1),
+        _arm_balance(group, in_other[order], 1), np.array([ctx.lower]),
+        np.array([ctx.upper]), one, np.array([n_match]), np.array([n_other]), one, k)[0])
 
 
 # Unit roundoff of float64, and an absolute slack that keeps the float error
@@ -254,17 +260,16 @@ def _segmented_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Inclusive prefix sums of ``values`` within segments.
 
     ``first[e]`` is the index where element ``e``'s segment starts.  Hillis
-    and Steele's doubling scan: each sum adds only terms of its own segment,
+    and Steele's doubling scan over contiguous slices: each sum adds only
+    terms of its own segment (across a segment start it adds an exact zero),
     so its rounding error is bounded by those terms alone.
     """
     out = values.copy()
     reach = np.arange(len(out)) - first
-    live = np.flatnonzero(reach >= 1)
     step = 1
-    while len(live):
-        out[live] += out[live - step]   # both sides read before the write
+    while step <= reach.max(initial=0):
+        out[step:] += np.where(reach[step:] >= step, out[:-step], 0.0)
         step *= 2
-        live = live[reach[live] >= step]
     return out
 
 
@@ -309,11 +314,11 @@ def _run_ends(group: np.ndarray, y: np.ndarray) -> np.ndarray:
     return last
 
 
-def _flagged_up_to(group, flags, at, n_groups):
-    """Per-group totals of ``flags``, and for each position in ``at`` the
-    flagged elements of its group up to and including it."""
+def _arm_balance(group: np.ndarray, flags: np.ndarray, n_groups: int) -> np.ndarray:
+    """For each element, the flagged elements of its group up to and including
+    it minus the flagged elements after it."""
     total = np.bincount(group[flags], minlength=n_groups)
-    return total, np.cumsum(flags)[at] - (np.cumsum(total) - total)[group[at]]
+    return 2 * np.cumsum(flags) - (2 * np.cumsum(total) - total)[group]
 
 
 def _keyed(problem: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -328,26 +333,24 @@ def _keyed(problem: np.ndarray, value: np.ndarray) -> np.ndarray:
 # Float overflow only widens a test's error bound to infinity, which sends
 # the test to the exact path, so it needs no warning.
 @np.errstate(over="ignore", invalid="ignore")
-def _smallest_minimizers(y, group, w_match, w_other, lo, hi, p_group, p_n_match,
+def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_match,
                          p_n_other, q_problem, k) -> np.ndarray:
     """Smallest exact minimizer of ``F_p(t) + k * t`` for each query, all at once.
 
     Group ``g`` holds the treatment-target outcomes of one (cell, target):
-    ``y`` is sorted by ``(group, y)``, ``w_match``/``w_other`` flag outcomes in
-    the matching/other instrument arm, and a group that any problem reads
-    also holds its bounds ``lo[g]`` and ``hi[g]`` as unflagged elements.
-    Problem ``p`` minimizes over group ``p_group[p]`` with the leave-one-out
-    arm sizes ``p_n_match[p]``/``p_n_other[p]``; query ``q`` asks problem
+    ``y`` is sorted by ``(group, y)``, and a group that any problem reads
+    also holds its bounds ``lo[g]`` and ``hi[g]`` as elements in no arm.
+    ``net_match``/``net_other`` give, for each element, the matching/other
+    instrument arm's outcomes of its group at or before it minus those after
+    it (see :func:`_arm_balance`).  Problem ``p`` minimizes over group
+    ``p_group[p]`` with the leave-one-out arm sizes
+    ``p_n_match[p]``/``p_n_other[p]``; query ``q`` asks problem
     ``q_problem[q]`` with the integer coefficient ``k[q]`` (see the module
     docstring).
     """
-    # Candidates: the distinct in-bounds values of each group.  The arm
-    # counts at or below each come from cumulative counts.
+    # Candidates: the distinct in-bounds values of each group.
     cand = np.flatnonzero(_run_ends(group, y) & (y >= lo[group]) & (y <= hi[group]))
-    n_groups = len(lo)
-    total_m, below_m = _flagged_up_to(group, w_match, cand, n_groups)
-    total_o, below_o = _flagged_up_to(group, w_other, cand, n_groups)
-    c_first = np.searchsorted(group[cand], np.arange(n_groups))
+    c_first = np.searchsorted(group[cand], np.arange(len(lo)))
     c_count = np.diff(np.append(c_first, len(cand)))
 
     # Each problem copies its group's candidates.  F's slope on the segment
@@ -356,11 +359,9 @@ def _smallest_minimizers(y, group, w_match, w_other, lo, hi, p_group, p_n_match,
     start = np.cumsum(m) - m
     prob = np.repeat(np.arange(len(m)), m)
     local = np.arange(len(prob)) - start[prob]
-    pg = p_group[prob]
-    src = c_first[pg] + local
-    x_all = y[cand[src]]
-    slope = (p_n_other[prob] * (2 * below_m[src] - total_m[pg])
-             - p_n_match[prob] * (2 * below_o[src] - total_o[pg]))
+    src = cand[c_first[p_group[prob]] + local]
+    x_all = y[src]
+    slope = p_n_other[prob] * net_match[src] - p_n_match[prob] * net_other[src]
     step_up = np.zeros(len(prob))
     inner = np.flatnonzero(local > 0)
     step_up[inner] = slope[inner - 1] * (x_all[inner] - x_all[inner - 1])
@@ -390,20 +391,30 @@ def _smallest_minimizers(y, group, w_match, w_other, lo, hi, p_group, p_n_match,
                                       pts[pt_first[p]:pt_first[p + 1]] - lo_e)
         return exact[p]
 
-    # Elimination passes: every point on or above the chord of its current
-    # neighbours is not a hull vertex, so all of them go at once; only the
-    # neighbours of deleted points need testing again.
+    # The chain, as links to each point's neighbours, and the slope and its
+    # error bound of the edge from each point to its successor; a problem's
+    # last point has no edge and keeps slope +inf.
     prev = np.arange(len(pts)) - 1
     succ = np.arange(len(pts)) + 1
     ends = np.flatnonzero(np.diff(pp) != 0)
     prev[0], succ[-1] = -1, -1
     prev[ends + 1], succ[ends] = -1, -1
+    edge_s = np.full(len(pts), np.inf)
+    edge_e = np.zeros(len(pts))
+    linked = np.flatnonzero(succ >= 0)
+    edge_s[linked], edge_e[linked] = _edge_slope(x, g, perr[linked], linked, succ[linked],
+                                                 pts, unit)
+
+    # Elimination passes: every point on or above the chord of its current
+    # neighbours is not a hull vertex, so all of them go at once; only the
+    # neighbours of deleted points need testing again, and only the edges
+    # that join them need computing.
     alive = np.ones(len(pts), dtype=bool)
     work = np.flatnonzero((prev >= 0) & (succ >= 0))
     while len(work):
         left, right = prev[work], succ[work]
-        s1, e1 = _edge_slope(x, g, perr[work], left, work, pts, unit)
-        s2, e2 = _edge_slope(x, g, perr[work], work, right, pts, unit)
+        s1, e1 = edge_s[left], edge_e[left]
+        s2, e2 = edge_s[work], edge_e[work]
         drop = ~(s1 + e1 < s2 - e2)
         for t in np.flatnonzero(drop & ~(s1 - e1 > s2 + e2)).tolist():
             p = int(pp[work[t]])
@@ -419,32 +430,35 @@ def _smallest_minimizers(y, group, w_match, w_other, lo, hi, p_group, p_n_match,
         left = prev[gone[np.concatenate(([True], ~joined))]]
         right = succ[gone[np.concatenate((~joined, [True]))]]
         succ[left], prev[right] = right, left
+        edge_s[left], edge_e[left] = _edge_slope(x, g, perr[left], left, right, pts, unit)
         # Sorted and deduplicated by run starts: np.unique would load numpy.ma.
         work = np.sort(np.concatenate((left, right)))
         work = work[np.concatenate(([True], work[1:] != work[:-1]))]
         work = work[(prev[work] >= 0) & (succ[work] >= 0)]
 
-    # Made monotone, the bounds on each problem's hull edge slopes bracket
-    # the first edge with exact slope >= -k between two searchsorted
-    # positions; complex keys let one searchsorted serve every problem.
+    # Made monotone, the bounds on the slope of the edge right of each hull
+    # vertex bracket the first edge with exact slope >= -k: it starts at or
+    # after the first vertex whose upper bound reaches -k, and only where
+    # that vertex's lower bound does not reach -k too can it lie further
+    # right.  Complex keys let one searchsorted serve every problem.
     hull = np.flatnonzero(alive)
     hp = pp[hull]
-    edge = np.flatnonzero(hp[1:] == hp[:-1])
-    s, e = _edge_slope(x, g, perr[hull[edge]], hull[edge], hull[edge + 1], pts, unit)
-    lower = np.maximum.accumulate(_keyed(hp[edge], np.fmax(s - e, -np.inf)))
-    upper = np.minimum.accumulate(_keyed(hp[edge], np.fmin(s + e, np.inf))[::-1])[::-1]
+    s, e = edge_s[hull], edge_e[hull]
+    lower = np.maximum.accumulate(_keyed(hp, np.fmax(s - e, -np.inf)))
+    upper = np.minimum.accumulate(_keyed(hp, np.fmin(s + e, np.inf))[::-1])[::-1]
     hull_first = np.searchsorted(hp, np.arange(len(m) + 1))
-    edge_first = hull_first[:-1] - np.arange(len(m))
     queries = _keyed(q_problem, -np.asarray(k, dtype=np.float64))
-    pos = np.searchsorted(upper, queries, side="left") - edge_first[q_problem]
-    stop = np.searchsorted(lower, queries, side="left") - edge_first[q_problem]
+    at = np.searchsorted(upper, queries, side="left")
+    doubt = np.flatnonzero(lower.imag[at] < queries.imag)
+    stop = np.searchsorted(lower, queries[doubt], side="left")
     verts: dict[int, list] = {}
-    for q in np.flatnonzero(pos < stop).tolist():
+    for q, b in zip(doubt.tolist(), stop.tolist()):
         p = int(q_problem[q])
         cx, cg = exact_points(p)
+        first = int(hull_first[p])
         if p not in verts:
-            verts[p] = (hull[hull_first[p]:hull_first[p + 1]] - pt_first[p]).tolist()
-        kq, a, b = int(k[q]), int(pos[q]), int(stop[q])
+            verts[p] = (hull[first:hull_first[p + 1]] - pt_first[p]).tolist()
+        kq, a, b = int(k[q]), int(at[q]) - first, b - first
         while a < b:
             mid = (a + b) // 2
             u, v = verts[p][mid], verts[p][mid + 1]
@@ -452,8 +466,8 @@ def _smallest_minimizers(y, group, w_match, w_other, lo, hi, p_group, p_n_match,
                 a = mid + 1
             else:
                 b = mid
-        pos[q] = a
-    return x[hull[hull_first[q_problem] + pos]]
+        at[q] = first + a
+    return x[hull[at]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,6 +486,10 @@ class PseudoIteVector:
     def __post_init__(self):
         for arr in (self.values, self.map_treatment, self.minimizers):
             arr.setflags(write=False)
+
+    def __reduce__(self):
+        # Unpickled arrays come back writeable; the constructor freezes them again.
+        return (PseudoIteVector, (self.values, self.map_treatment, self.minimizers))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -521,20 +539,20 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
     src = order[is_row]   # rows, sorted by (group, y)
     w_match = np.zeros(len(order), dtype=bool)
     w_match[is_row] = (z == d)[src]
-    w_other = is_row & ~w_match
+    net_match = _arm_balance(group, w_match, n_groups)
+    net_other = _arm_balance(group, is_row & ~w_match, n_groups)
 
-    # Each row is a query of the map onto 1 - d; its sign sums count the
-    # other query rows of its group at or below its outcome, per arm (the
-    # matching arm of the map onto 1 - d is the other arm of its own group).
+    # Each row is a query of the map onto 1 - d; its sign sums are the arm
+    # balances of its group at the last row tied with its outcome, negated
+    # (the matching arm of the map onto 1 - d is the other arm of its own
+    # group).
     run_end = np.where(_run_ends(group, values), np.arange(len(order)), len(order))
     tie_end = np.minimum.accumulate(run_end[::-1])[::-1][is_row]
     qgroup = group[tie_end]
-    tot_m, le_m = _flagged_up_to(group, w_match, tie_end, n_groups)
-    tot_o, le_o = _flagged_up_to(group, w_other, tie_end, n_groups)
-    in_match = w_other[is_row]
+    in_match = ~w_match[is_row]
     # A query's own sign term is sign_left(0) = -1; removing it adds 1.
-    g_match = tot_o[qgroup] - 2 * le_o + in_match
-    g_other = tot_m[qgroup] - 2 * le_m + ~in_match
+    g_match = in_match - net_other[tie_end]
+    g_other = ~in_match - net_match[tie_end]
     target = 1 - d[src]
     qcell = cell[src]
     n_match = np.where(target == 1, n_z1[qcell], sizes[qcell] - n_z1[qcell]) - in_match
@@ -548,7 +566,7 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
     q_problem = (np.cumsum(used) - 1)[key]
     first = np.zeros(len(problems), dtype=np.intp)
     first[q_problem] = np.arange(len(q_problem))
-    phi = _smallest_minimizers(values, group, w_match, w_other, lo, hi, problems // 2,
+    phi = _smallest_minimizers(values, group, net_match, net_other, lo, hi, problems // 2,
                                n_match[first], n_other[first], q_problem, k)
 
     effects = np.empty(n, dtype=np.float64)

@@ -103,6 +103,11 @@ class Sample:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: samples are immutable")
 
+    def __reduce__(self):
+        # Unpickled arrays come back writeable; ``_coded`` freezes them again.
+        return (Sample._coded, (self.outcomes, self.treatments, self.instruments,
+                                self.cell_codes, self.cell_table, self.cell_sizes))
+
     @property
     def n(self) -> int:
         return len(self.outcomes)
@@ -140,9 +145,11 @@ class Sample:
         The rows keep their parent's cell codes; cells the rows miss are
         dropped from the table and the codes above them shifted down.
         """
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = np.asarray(indices)
         if idx.ndim != 1 or len(idx) == 0:
             raise ValueError("take needs a non-empty one-dimensional index array")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"take needs integer indices, got dtype {idx.dtype}")
         codes = self.cell_codes[idx]
         sizes = np.bincount(codes, minlength=len(self.cell_table))
         table = self.cell_table

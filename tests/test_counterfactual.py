@@ -6,6 +6,8 @@ prefix-sum and convex-hull machinery.
 """
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import time
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from itedist import (Bounds, EstimabilityError, Sample, build_context,
                      estimate_bounds, generate, minimize_objective,
                      objective_value, pseudo_ites, sign_left)
 from itedist._rng import derive_stream
+from itedist.counterfactual import _segmented_cumsum
 
 
 def naive_objective(rows, i, d, t, y):
@@ -341,7 +344,61 @@ class TestExactOracle:
                     rows, i, target, y_ref, *bounds.for_group(target, ()))
 
 
+    # Cells of very different magnitudes and tie patterns in one kernel call:
+    # each problem must keep its own candidates, error bound and hull edges.
+    @example([([1e9 + 0.61, 1e9 + 0.36, 1e9 + 0.13, 1e9 + 0.31, 1e9 + 0.01, 1e9 + 0.13],
+               [0, 1, 1, 0, 0, 1], [0, 1, 0, 1, 0, 1]),
+              ([1.0, 3.0, 2.0, 0.0, 2.0], [0, 1, 1, 0, 0], [0, 1, 0, 1, 0]),
+              ([2.0, 1e8, 1e8, 1e-8, 1.0, 2.0, 1e-8],
+               [0, 1, 1, 0, 1, 0, 0], [0, 1, 0, 1, 0, 0, 1])])
+    @given(st.lists(oracle_cells(), min_size=2, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_smallest_exact_minimizer_many_cells(self, cells):
+        s = Sample(outcomes=[v for y, _, _ in cells for v in y],
+                   treatments=[v for _, d, _ in cells for v in d],
+                   instruments=[v for _, _, z in cells for v in z],
+                   covariates=[c for c, (y, _, _) in enumerate(cells) for _ in y])
+        bounds = estimate_bounds(s)
+        vec = pseudo_ites(s, bounds)
+        row = 0
+        for c, (y, d, z) in enumerate(cells):
+            rows = list(zip(y, d, z))
+            for i, (y_i, d_i, _) in enumerate(rows):
+                target = 1 - d_i
+                assert vec.minimizers[row] == exact_argmin(rows, i, target, y_i,
+                                                           *bounds.for_group(target, (c,)))
+                row += 1
+
+
+class TestSegmentedCumsum:
+    def test_segments_never_mix(self):
+        # Huge terms that cancel exactly, next to small integers whose sums
+        # are exact in any order: a term from a neighbouring segment shows.
+        segments = [[1e300, -1e300, 1e300, 1e300, -1e300],
+                    [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
+                    [-1e300],
+                    [float(v) for v in range(1, 17)],
+                    [1e300, 1e300, -1e300],
+                    [3.0]]
+        values = np.concatenate(segments)
+        sizes = [len(seg) for seg in segments]
+        first = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        out = np.split(_segmented_cumsum(values, first), np.cumsum(sizes)[:-1])
+        for seg, sums in zip(segments, out):
+            assert sums.tolist() == np.cumsum(seg).tolist()
+
+
 class TestPseudoItes:
+    def test_arrays_stay_read_only_after_pickling(self, two_cell_sample):
+        vec = pseudo_ites(two_cell_sample, estimate_bounds(two_cell_sample))
+        restored = pickle.loads(pickle.dumps(vec))
+        for field in dataclasses.fields(vec):
+            array = getattr(restored, field.name)
+            assert np.array_equal(array, getattr(vec, field.name))
+            assert not array.flags.writeable, field.name
+        with pytest.raises(ValueError):
+            restored.values[0] = 99.0
+
     def test_two_row_cell_rejected(self):
         s = Sample(outcomes=[1.0, 2.0], treatments=[0, 1], instruments=[0, 1],
                    covariates=np.zeros((2, 0), dtype=int))

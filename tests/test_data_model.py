@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -56,6 +57,25 @@ class TestSample:
         taken = two_cell_sample.take([3, 1, 1])
         assert taken.n == 3
         assert taken.outcomes[1] == taken.outcomes[2] == two_cell_sample.outcomes[1]
+
+    # A cast would read these as rows 0, 2 and as rows 1, 0, 1.
+    @pytest.mark.parametrize("indices, dtype", [([0.7, 2.9], "float64"),
+                                                ([True, False, True], "bool")])
+    def test_take_rejects_non_integer_indices(self, two_cell_sample, indices, dtype):
+        with pytest.raises(ValueError, match=f"integer indices, got dtype {dtype}"):
+            two_cell_sample.take(indices)
+
+    def test_arrays_stay_read_only_after_pickling(self, two_cell_sample):
+        restored = pickle.loads(pickle.dumps(two_cell_sample))
+        assert restored.cell_table == two_cell_sample.cell_table
+        for name in ("outcomes", "treatments", "instruments", "cell_codes",
+                     "cell_sizes", "covariates"):
+            array = getattr(restored, name)
+            assert np.array_equal(array, getattr(two_cell_sample, name))
+            assert not array.flags.writeable, name
+        assert not any(rows.flags.writeable for rows in restored.cell_index.values())
+        with pytest.raises(ValueError):
+            restored.outcomes[0] = 99.0
 
     @given(st.permutations(list(range(12))), st.sampled_from([0, -2]))
     @settings(max_examples=25, deadline=None)
