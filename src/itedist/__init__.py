@@ -27,7 +27,7 @@ from .data_model import (Bounds, CellEstimability, ColumnMap, EmptySelectionErro
                          IngestError, IngestResult, Sample,
                          check_estimability, estimate_bounds, ingest_csv,
                          min_instrument_margin, sample_to_csv, select_group)
-from .empirical_dist import (Ecdf, Grid, QuantileFn, ecdf, iqr, make_grid,
+from .empirical_dist import (Ecdf, Grid, ecdf, iqr, make_grid, order_statistics,
                              prob_positive, quantile)
 
 __all__ = [
@@ -41,8 +41,8 @@ __all__ = [
     "ObjectiveContext", "PseudoIteVector", "build_context", "objective_value",
     "minimize_objective", "pseudo_ites", "sign_left",
     # empirical distribution
-    "Ecdf", "QuantileFn", "Grid", "ecdf", "quantile", "iqr", "prob_positive",
-    "make_grid",
+    "Ecdf", "Grid", "ecdf", "quantile", "iqr", "prob_positive", "make_grid",
+    "order_statistics",
     # bootstrap inference
     "BootstrapConfig", "BootstrapReplicates", "TwoGroupReplicates",
     "IntervalResult", "BandResult", "TestResult", "ReplicationError",

@@ -19,6 +19,10 @@ estimation-error part assembled from the complier outcome density, the first
 stage, and the effect map's inverse.  The estimation-error part is far too
 delicate to plug in from data, which is why the inference products bootstrap
 instead; here it serves as an oracle for validating the pipeline.
+Simulated quantile estimates and the pointwise percentile band of the
+coverage studies read their ranks through
+:func:`itedist.empirical_dist.order_statistics`, the rule every inference
+product uses, and the default level grid comes from ``make_grid``.
 """
 from __future__ import annotations
 
@@ -28,18 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import FrozenArrays
 from ._normal import ndtr, ndtri
 from ._rng import derive_seed, derive_stream, parallel_map
 from .bootstrap_inference import (BootstrapConfig, BootstrapReplicates,
                                   IntervalResult, ReplicationError, _cdf_curves,
-                                  _quantile_columns, _rank_index, ci_cdf,
-                                  ci_prob_positive, ci_quantile_and_iqr,
+                                  ci_cdf, ci_prob_positive, ci_quantile_and_iqr,
                                   draw_replicates, ucb_cdf_constant,
                                   ucb_cdf_variable, ucb_quantile_constant,
                                   ucb_quantile_variable)
 from .counterfactual import pseudo_ites
 from .data_model import EstimabilityError, Sample, estimate_bounds
-from .empirical_dist import Grid, ecdf
+from .empirical_dist import Grid, ecdf, make_grid, order_statistics
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class DgpConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class GeneratedSample:
+class GeneratedSample(FrozenArrays):
     """A benchmark sample plus the latent ranks that produced it.
 
     The ranks exist solely for infeasible-estimator comparisons; estimation
@@ -70,10 +74,6 @@ class GeneratedSample:
     outcome_rank: np.ndarray     # eps, uniform on [0, 1]
     selection_rank: np.ndarray   # eta, uniform on [0, 1]
     config: DgpConfig
-
-    def __post_init__(self):
-        self.outcome_rank.setflags(write=False)
-        self.selection_rank.setflags(write=False)
 
 
 def generate(n: int, rng: np.random.Generator,
@@ -310,7 +310,7 @@ def quantile_variance_gap(taus, n: int, reps: int, seed: int,
         bounds = estimate_bounds(gen.sample)
         feasible = np.sort(pseudo_ites(gen.sample, bounds).values)
         infeasible = np.sort(true_ites(gen))
-        return (_quantile_columns(feasible, taus), _quantile_columns(infeasible, taus))
+        return order_statistics(feasible, taus), order_statistics(infeasible, taus)
 
     results = parallel_map(one, range(reps), threads)
     feasible = np.vstack([r[0] for r in results])
@@ -346,7 +346,7 @@ def naive_ci_cdf(values, v: float, alpha: float) -> IntervalResult:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianDiagnostic:
+class GaussianDiagnostic(FrozenArrays):
     """Standardized quantile-estimator draws against the limit law."""
 
     tau: float
@@ -379,7 +379,7 @@ def gaussian_diagnostic(tau: float, n: int, reps: int, seed: int,
         gen = generate(n, derive_stream(seed, k), config)
         bounds = estimate_bounds(gen.sample)
         values = np.sort(pseudo_ites(gen.sample, bounds).values)
-        return float(_quantile_columns(values, [tau])[0])
+        return float(order_statistics(values, tau))
 
     estimates = np.array(parallel_map(one, range(reps), threads))
     standardized = (estimates - truth) * math.sqrt(n / (v1 + v2))
@@ -458,14 +458,6 @@ class CoverageReport:
     failures: int = 0
 
 
-def _interpolated_bp_band(boot_cdf: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise percentile intervals at each grid point (no interpolation
-    between points; coverage is evaluated on the grid itself)."""
-    b = boot_cdf.shape[0]
-    srt = np.sort(boot_cdf, axis=0)
-    return srt[_rank_index(b, alpha / 2.0), :], srt[_rank_index(b, 1.0 - alpha / 2.0), :]
-
-
 def _truth(target: StudyTarget, oracle: DgpOracle) -> float | np.ndarray:
     """The closed-form value of what ``target`` estimates."""
     kind, grid = target.kind, target.grid
@@ -490,7 +482,9 @@ def _evaluate_target(target: StudyTarget, level: float,
     alpha = 1.0 - level
     kind, grid = target.kind, target.grid
     if kind == "cdf-band-interpolated":
-        lo, hi = _interpolated_bp_band(_cdf_curves(reps, grid)[1], alpha)
+        # Pointwise percentile intervals, scored on the grid points only.
+        lo, hi = order_statistics(np.sort(_cdf_curves(reps, grid)[1], axis=0),
+                                  (alpha / 2.0, 1.0 - alpha / 2.0), axis=0)
         return (bool(np.all((lo <= truth) & (truth <= hi))), float((hi - lo).mean()))
     if kind == "cdf-band":
         product = ucb_cdf_constant if target.band == "constant" else ucb_cdf_variable
@@ -598,7 +592,7 @@ def write_coverage_csv(reports, path) -> None:
 def write_variance_profile_csv(path, taus=None, config: DgpConfig = DgpConfig()) -> None:
     """Emit the two quantile-variance components over a level grid."""
     if taus is None:
-        taus = np.linspace(0.1, 0.9, 81)
+        taus = make_grid("levels", 0.1, 0.9, 81).points
     theory = TheoryVariance(config)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

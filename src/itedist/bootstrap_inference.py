@@ -17,8 +17,12 @@ empirical CDF curves over a value grid depend on neither, so a replicate
 set computes them on first use and keeps them per grid object; asking for
 a CDF band at several levels, or for both widths, scans the replications
 once.
-Interval endpoints are exact order statistics at ranks ``ceil(B * alpha / 2)``
-and ``ceil(B * (1 - alpha / 2))``; no interpolation anywhere.
+Interval endpoints, studentizers and critical values are exact order
+statistics of the replications, read by
+:func:`itedist.empirical_dist.order_statistics` (rank ``ceil(p * B)`` at
+level ``p``; no interpolation anywhere), and the CDF curves come from
+:func:`itedist.empirical_dist.cdf_at`.  Replicate sets are read-only, also
+after pickling.
 
 Replications are independent and keyed by (seed, replication, group,
 attempt), so results are bit-identical regardless of worker count.
@@ -32,10 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import FrozenArrays
 from ._rng import derive_stream, parallel_map
 from .counterfactual import pseudo_ites
 from .data_model import Bounds, Sample, min_instrument_margin, stack
-from .empirical_dist import Grid, iqr
+from .empirical_dist import Grid, cdf_at, iqr, order_statistics
 
 logger = logging.getLogger(__name__)
 
@@ -103,7 +108,7 @@ class IntervalResult:
 
 
 @dataclass(frozen=True, eq=False)
-class BandResult:
+class BandResult(FrozenArrays):
     """A uniform confidence band over a grid.
 
     ``half_width`` is aligned with the grid (constant bands repeat a single
@@ -127,8 +132,7 @@ class BandResult:
             raise ValueError("band arrays must align with the grid")
         if np.any(self.half_width < 0):
             raise ValueError("band half-widths must be nonnegative")
-        self.center.setflags(write=False)
-        self.half_width.setflags(write=False)
+        super().__post_init__()
 
     @property
     def average_width(self) -> float:
@@ -159,11 +163,6 @@ class TestResult:
             raise ValueError("reject flag inconsistent with statistic > critical_value")
 
 
-def _rank_index(b: int, p: float) -> int:
-    """0-based index of the ``ceil(b * p)``-th order statistic."""
-    return math.ceil(b * p) - 1
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -172,10 +171,9 @@ def _check_alpha(alpha: float) -> None:
 def percentile_interval(values, alpha: float) -> tuple[float, float]:
     """Percentile interval endpoints from replication order statistics."""
     _check_alpha(alpha)
-    values = np.sort(np.asarray(values, dtype=np.float64))
-    b = len(values)
-    return (float(values[_rank_index(b, alpha / 2.0)]),
-            float(values[_rank_index(b, 1.0 - alpha / 2.0)]))
+    lo, hi = order_statistics(np.sort(np.asarray(values, dtype=np.float64)),
+                              (alpha / 2.0, 1.0 - alpha / 2.0))
+    return float(lo), float(hi)
 
 
 def resample(sample: Sample, rng: np.random.Generator) -> Sample:
@@ -202,7 +200,7 @@ def _draw_estimable_resample(sample: Sample, cfg: BootstrapConfig, r: int,
 
 
 @dataclass(frozen=True, eq=False)
-class BootstrapReplicates:
+class BootstrapReplicates(FrozenArrays):
     """Sorted pseudo-ITE vectors for every replication, plus the point fit."""
 
     sorted_values: np.ndarray     # (B, n), each row ascending
@@ -266,24 +264,6 @@ def draw_replicates(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
         redraws=sum(redraws for _, redraws in results))
 
 
-def _quantile_columns(sorted_rows: np.ndarray, taus) -> np.ndarray:
-    """Empirical quantiles of each (sorted) row at the given levels."""
-    n = sorted_rows.shape[-1]
-    taus = np.atleast_1d(np.asarray(taus, dtype=np.float64))
-    idx = np.ceil(taus * n).astype(np.intp) - 1
-    return sorted_rows[..., idx]
-
-
-def _cdf_columns(sorted_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Empirical CDF of each (sorted) row at the given value points."""
-    rows = np.atleast_2d(sorted_rows)
-    out = np.empty((rows.shape[0], len(points)), dtype=np.float64)
-    for r in range(rows.shape[0]):
-        out[r] = np.searchsorted(rows[r], points, side="right")
-    out /= rows.shape[1]
-    return out if sorted_rows.ndim > 1 else out[0]
-
-
 # ---------------------------------------------------------------------------
 # Pointwise percentile confidence intervals
 # ---------------------------------------------------------------------------
@@ -296,7 +276,7 @@ def ci_cdf(reps: BootstrapReplicates, alpha: float, v: float) -> IntervalResult:
     """
     if not math.isfinite(v):
         raise ValueError(f"evaluation point must be finite, got {v}")
-    stats = _cdf_columns(reps.sorted_values, np.array([float(v)]))[:, 0]
+    stats = cdf_at(reps.sorted_values, np.array([float(v)]))[:, 0]
     lo, hi = percentile_interval(stats, alpha)
     return IntervalResult(target="cdf", at=float(v), lo=lo, hi=hi,
                           b_used=reps.b_used, redraws=reps.redraws)
@@ -307,7 +287,7 @@ def ci_quantile_and_iqr(reps: BootstrapReplicates, alpha: float,
     """Percentile intervals for the ``tau`` quantile and the IQR."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {tau}")
-    cols = _quantile_columns(reps.sorted_values, [tau, 0.25, 0.75])
+    cols = order_statistics(reps.sorted_values, (tau, 0.25, 0.75))
     q_lo, q_hi = percentile_interval(cols[:, 0], alpha)
     i_lo, i_hi = percentile_interval(cols[:, 2] - cols[:, 1], alpha)
     return (IntervalResult(target="quantile", at=float(tau), lo=q_lo, hi=q_hi,
@@ -318,7 +298,7 @@ def ci_quantile_and_iqr(reps: BootstrapReplicates, alpha: float,
 
 def ci_prob_positive(reps: BootstrapReplicates, alpha: float) -> IntervalResult:
     """Percentile interval for the share of strictly positive effects."""
-    stats = 1.0 - _cdf_columns(reps.sorted_values, np.array([0.0]))[:, 0]
+    stats = 1.0 - cdf_at(reps.sorted_values, np.array([0.0]))[:, 0]
     lo, hi = percentile_interval(stats, alpha)
     return IntervalResult(target="prob-positive", lo=lo, hi=hi,
                           b_used=reps.b_used, redraws=reps.redraws)
@@ -331,7 +311,7 @@ def ci_prob_positive(reps: BootstrapReplicates, alpha: float) -> IntervalResult:
 def _critical_value(draws: np.ndarray, alpha: float) -> float:
     """The ``ceil(B(1-alpha))``-th order statistic of the sup-statistic draws."""
     _check_alpha(alpha)
-    return float(np.sort(draws)[_rank_index(len(draws), 1.0 - alpha)])
+    return float(order_statistics(np.sort(draws), 1.0 - alpha))
 
 
 def _constant_band(target: str, grid: Grid, center: np.ndarray,
@@ -346,10 +326,8 @@ def _constant_band(target: str, grid: Grid, center: np.ndarray,
 
 def _studentizers(boot: np.ndarray, scale_reference: float) -> np.ndarray:
     """Per-grid-point bootstrap IQR over the normal quartile spread, floored."""
-    b = boot.shape[0]
-    srt = np.sort(boot, axis=0)
-    spread = srt[_rank_index(b, 0.75), :] - srt[_rank_index(b, 0.25), :]
-    stud = spread / NORMAL_QUARTILE_SPREAD
+    q1, q3 = order_statistics(np.sort(boot, axis=0), (0.25, 0.75), axis=0)
+    stud = (q3 - q1) / NORMAL_QUARTILE_SPREAD
     floor = _STUDENTIZER_FLOOR * max(1.0, scale_reference)
     if np.any(stud < floor):
         warnings.warn(
@@ -387,8 +365,8 @@ def _cdf_curves(reps: BootstrapReplicates,
     _check_grid(grid, "values")
     curves = reps._cdf_by_grid.get(grid)
     if curves is None:
-        curves = (_cdf_columns(reps.point_sorted, grid.points),
-                  _cdf_columns(reps.sorted_values, grid.points))
+        curves = (cdf_at(reps.point_sorted, grid.points),
+                  cdf_at(reps.sorted_values, grid.points))
         for curve in curves:
             curve.setflags(write=False)
         reps._cdf_by_grid[grid] = curves
@@ -399,8 +377,8 @@ def _quantile_curves(reps: BootstrapReplicates,
                      grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Original and per-replication empirical quantiles over a level grid."""
     _check_grid(grid, "levels")
-    return (_quantile_columns(reps.point_sorted, grid.points),
-            _quantile_columns(reps.sorted_values, grid.points))
+    return (order_statistics(reps.point_sorted, grid.points),
+            order_statistics(reps.sorted_values, grid.points))
 
 
 def ucb_cdf_constant(reps: BootstrapReplicates, alpha: float,
@@ -450,7 +428,7 @@ def ucb_quantile_variable(reps: BootstrapReplicates, alpha: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class TwoGroupReplicates:
+class TwoGroupReplicates(FrozenArrays):
     """Per-level quantiles for two independently resampled groups.
 
     ``shift`` is a diagnostic offset added to group-1 effects (a location
@@ -503,7 +481,7 @@ def two_group_quantile_replicates(sample0: Sample, sample1: Sample,
     ``couple_streams=True`` both groups share one stream (a diagnostic hook:
     identical groups then produce identically zero differences).
     """
-    levels = np.asarray(levels, dtype=np.float64)
+    levels = np.array(levels, dtype=np.float64)
     if np.any(levels <= 0.0) or np.any(levels >= 1.0):
         raise ValueError("all evaluation levels must lie strictly inside (0, 1)")
     if np.any(np.diff(levels) <= 0):
@@ -518,15 +496,15 @@ def two_group_quantile_replicates(sample0: Sample, sample1: Sample,
                  for r in chunk]
         sorted0, att0 = _fit_stacked([pair[0] for pair in drawn], bounds0, chunk)
         sorted1, att1 = _fit_stacked([pair[1] for pair in drawn], bounds1, chunk)
-        return (_quantile_columns(sorted0, levels), _quantile_columns(sorted1, levels),
+        return (order_statistics(sorted0, levels), order_statistics(sorted1, levels),
                 att0, att1)
 
     results = parallel_map(one, _chunks(cfg.n_replications, sample0.n, sample1.n),
                            threads)
     return TwoGroupReplicates(
         levels=levels,
-        estimate0=_quantile_columns(point0, levels),
-        estimate1=_quantile_columns(point1, levels),
+        estimate0=order_statistics(point0, levels),
+        estimate1=order_statistics(point1, levels),
         boot0=np.vstack([r[0] for r in results]),
         boot1=np.vstack([r[1] for r in results]),
         iqr0=iqr(point0), iqr1=iqr(point1),

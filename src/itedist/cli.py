@@ -12,11 +12,14 @@ for the coerced value (an interval or a tuple of choices, held to every
 element of a list) and its help text; ``_COMMANDS`` gives each command its
 flags and their defaults, in the order of the reproducibility block; a flag
 whose default is ``_REQUIRED`` must be given, one whose default is ``None``
-may stay unset, and no other may be set to null.  The parser, the config-file
-keys, the presence checks and every value check follow from them: a value
-passes the same check whether it comes from a flag or from ``--config FILE``
-(a JSON object keyed by the long flag names, which explicit flags override),
-and a failure ends in the structured ``"config"`` error document.
+may stay unset, no other may be set to null, and a list flag whose default
+holds a value may not be set empty.  ``--threads``, the worker cap, is in
+``_FLAGS`` only: every command takes it, from the command line alone, and it
+never enters a report.  The parser, the config-file keys, the presence checks
+and every value check follow from them: a value passes the same check
+whether it comes from a flag or from ``--config FILE`` (a JSON object keyed
+by the long flag names, which explicit flags override), and a failure ends in
+the structured ``"config"`` error document.
 
 Every report embeds a ``reproducibility`` block holding the fully resolved
 configuration, which can be fed back as a config file to regenerate the same
@@ -49,8 +52,8 @@ from .data_model import (ColumnMap, EmptySelectionError, EstimabilityError,
                          GroupSelector, IngestError, check_estimability,
                          estimate_bounds, ingest_csv, select_group,
                          write_label_codes)
-from .empirical_dist import (default_value_grid, iqr, make_grid, prob_positive,
-                             quantile)
+from .empirical_dist import (cdf_at, default_value_grid, iqr, make_grid,
+                             prob_positive, quantile)
 from .reports import ReportDocument, error_report
 
 logger = logging.getLogger("itedist")
@@ -152,6 +155,7 @@ _FLAGS = {
                          "redraws allowed for a resample that leaves a cell unfit"),
     "format": _Flag(str, ("json", "csv"), "report format"),
     "output": _Flag(str, None, "output file"),
+    "threads": _Flag(_coerce_int, _Interval(1), "worker cap; never changes results"),
 }
 
 # The default of a flag that every run must give.
@@ -223,6 +227,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         missing = (None, "", _REQUIRED) if default is _REQUIRED else (None,)
         if default is not None and resolved[key] in missing:
             raise ConfigError(f"--{key} is required")
+        if isinstance(default, list) and default and resolved[key] == []:
+            raise ConfigError(f"--{key}: needs at least one value")
     return resolved
 
 
@@ -332,8 +338,7 @@ def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
         document.add_interval(iqr_int)
     if "cdf" in wanted:
         for v in resolved["v"]:
-            document.point_estimates[f"cdf@{v:g}"] = float(
-                np.searchsorted(values, v, side="right") / len(values))
+            document.point_estimates[f"cdf@{v:g}"] = float(cdf_at(values, v))
             document.add_interval(ci_cdf(replicates, alpha, v))
     if "bands" in wanted:
         tau_grid = make_grid("levels", *resolved["tau-range"], resolved["grid-size"])
@@ -446,9 +451,8 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
 
     output = Path(resolved["output"])
     if resolved["study"] == "figure1":
-        size = resolved["grid-size"] or 81
-        lo, hi = resolved["tau-range"]
-        write_variance_profile_csv(output, taus=np.linspace(lo, hi, size))
+        grid = make_grid("levels", *resolved["tau-range"], resolved["grid-size"] or 81)
+        write_variance_profile_csv(output, taus=grid.points)
         logger.info("variance profile written to %s", output)
         return
     if resolved["study"] == "figure2":
@@ -462,7 +466,7 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
                     output, diag.mean, diag.variance)
         return
 
-    _warn_small_bootstrap(resolved["bootstrap"], 1.0 - max(resolved["levels"], default=0.0))
+    _warn_small_bootstrap(resolved["bootstrap"], 1.0 - max(resolved["levels"]))
     reports = run_coverage(_study_targets(resolved), n=resolved["n"],
                            reps=resolved["reps"], levels=resolved["levels"],
                            b=resolved["bootstrap"], seed=resolved["seed"],
@@ -516,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (summary, defaults) in _COMMANDS.items():
         sub = commands.add_parser(command, help=summary)
-        for key in defaults:
+        for key in (*defaults, "threads"):
             _, rule, text = _FLAGS[key]
             text = text if rule is None else f"{text} [{_describe(rule)}]"
             if key == "study":
@@ -525,8 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
                 sub.add_argument(f"--{key}", *(["--B"] if key == "bootstrap" else []),
                                  help=text)
         sub.add_argument("--config", help="JSON config file (flags override it)")
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker cap; never changes results")
         sub.add_argument("--verbose", action="store_true")
     return parser
 
@@ -540,6 +542,7 @@ def main(argv=None) -> int:
     command = args.command
     try:
         resolved = _resolve(args, _COMMANDS[command][1])
+        threads = 1 if args.threads is None else _coerce("threads", args.threads)
     except ConfigError as exc:
         sys.stderr.write(error_report(command, "config", str(exc)))
         return 2
@@ -548,13 +551,13 @@ def main(argv=None) -> int:
         if resolved["output"]:
             _check_output_dir(resolved["output"])
         if command == "analyze":
-            document = cmd_analyze(resolved, args.threads)
+            document = cmd_analyze(resolved, threads)
             _write_document(document, resolved)
         elif command == "compare":
-            document = cmd_compare(resolved, args.threads)
+            document = cmd_compare(resolved, threads)
             _write_document(document, resolved)
         elif command == "simulate":
-            cmd_simulate(resolved, args.threads)
+            cmd_simulate(resolved, threads)
         else:
             document = cmd_oracle(resolved)
             if resolved["output"]:

@@ -74,6 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import FrozenArrays
 from .data_model import Bounds, Cell, EstimabilityError, Sample
 
 
@@ -108,7 +109,7 @@ def _sign_sum(sorted_values: np.ndarray, y):
 
 
 @dataclass(frozen=True, eq=False)
-class ObjectiveContext:
+class ObjectiveContext(FrozenArrays):
     """Preprocessed arrays for one (cell, target treatment) objective.
 
     ``match`` refers to the instrument arm equal to the target treatment,
@@ -471,7 +472,7 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
 
 
 @dataclass(frozen=True, eq=False)
-class PseudoIteVector:
+class PseudoIteVector(FrozenArrays):
     """Estimated treatment effects aligned with sample rows.
 
     ``map_treatment[i]`` is the treatment the counterfactual map produced
@@ -482,14 +483,6 @@ class PseudoIteVector:
     values: np.ndarray
     map_treatment: np.ndarray
     minimizers: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.values, self.map_treatment, self.minimizers):
-            arr.setflags(write=False)
-
-    def __reduce__(self):
-        # Unpickled arrays come back writeable; the constructor freezes them again.
-        return (PseudoIteVector, (self.values, self.map_treatment, self.minimizers))
 
     def __len__(self) -> int:
         return len(self.values)

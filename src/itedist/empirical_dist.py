@@ -1,15 +1,21 @@
 """Empirical distribution of estimated treatment effects.
 
-The empirical CDF counts ties with multiplicity and is right continuous; the
-quantile is the plain order statistic at rank ``ceil(tau * n)`` with no
-interpolation, which keeps the bootstrap percentile identities exact.
+Every order statistic the package reads comes from :func:`order_statistics`:
+the level-``p`` quantile of ``n`` values is the ``ceil(p * n)``-th smallest
+(Hyndman and Fan's type 1, no interpolation), which keeps the bootstrap
+percentile identities exact.  That one rule gives the quantile and IQR
+estimates, the bootstrap percentile endpoints, the studentizers and the
+sup-statistic critical values.  The empirical CDF, :func:`cdf_at`, counts
+ties with multiplicity and is right continuous.  Every grid, over values or
+over levels, comes from :func:`make_grid`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._frozen import FrozenArrays
 
 
 def _as_values(values) -> np.ndarray:
@@ -22,29 +28,46 @@ def _as_values(values) -> np.ndarray:
     return arr
 
 
+def order_statistics(sorted_values: np.ndarray, levels, axis: int = -1):
+    """The ``ceil(level * n)``-th smallest entry along ``axis``, per level.
+
+    ``sorted_values`` is ascending along ``axis``, which holds ``n`` entries,
+    and every level lies in (0, 1].  A scalar level drops ``axis``; a
+    sequence of levels puts one entry per level in its place.
+    """
+    levels = np.asarray(levels, dtype=np.float64)
+    if not np.all((levels > 0.0) & (levels <= 1.0)):
+        raise ValueError(f"order-statistic levels must lie in (0, 1], got {levels}")
+    ranks = np.ceil(levels * sorted_values.shape[axis]).astype(np.intp)
+    return np.take(sorted_values, ranks - 1, axis=axis)
+
+
+def cdf_at(sorted_values: np.ndarray, points) -> np.ndarray:
+    """Share of the ascending ``sorted_values`` at or below each point.
+
+    A two-dimensional ``sorted_values`` holds one ascending row per
+    replication and gives one row of shares per replication.
+    """
+    n = sorted_values.shape[-1]
+    if sorted_values.ndim == 1:
+        return np.searchsorted(sorted_values, points, side="right") / n
+    # One search per row is faster than searching all rows in one call.
+    out = np.empty((len(sorted_values), len(points)), dtype=np.float64)
+    for r, row in enumerate(sorted_values):
+        out[r] = np.searchsorted(row, points, side="right")
+    out /= n
+    return out
+
+
 @dataclass(frozen=True, eq=False)
-class Ecdf:
+class Ecdf(FrozenArrays):
     """Empirical CDF over a sorted copy of the values."""
 
     sorted_values: np.ndarray
     n: int
 
     def __call__(self, v) -> np.ndarray | float:
-        counts = np.searchsorted(self.sorted_values, v, side="right")
-        return counts / self.n
-
-
-@dataclass(frozen=True, eq=False)
-class QuantileFn:
-    """Left-continuous empirical quantile function on (0, 1)."""
-
-    sorted_values: np.ndarray
-    n: int
-
-    def __call__(self, tau: float) -> float:
-        if not 0.0 < tau < 1.0:
-            raise ValueError(f"quantile level must lie in (0, 1), got {tau}")
-        return float(self.sorted_values[math.ceil(tau * self.n) - 1])
+        return cdf_at(self.sorted_values, v)
 
 
 def ecdf(values) -> Ecdf:
@@ -57,14 +80,13 @@ def quantile(values, tau: float) -> float:
     arr = _as_values(values)
     if not 0.0 < tau < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {tau}")
-    return float(np.sort(arr)[math.ceil(tau * len(arr)) - 1])
+    return float(order_statistics(np.sort(arr), tau))
 
 
 def iqr(values) -> float:
     """Interquartile range, always nonnegative."""
-    arr = np.sort(_as_values(values))
-    n = len(arr)
-    return float(arr[math.ceil(0.75 * n) - 1] - arr[math.ceil(0.25 * n) - 1])
+    q1, q3 = order_statistics(np.sort(_as_values(values)), (0.25, 0.75))
+    return float(q3 - q1)
 
 
 def prob_positive(values) -> float:
@@ -74,7 +96,7 @@ def prob_positive(values) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class Grid:
+class Grid(FrozenArrays):
     """Equally spaced evaluation points, over values or probability levels."""
 
     kind: str                   # "values" | "levels"
@@ -90,8 +112,8 @@ class Grid:
             raise ValueError("grid points must be strictly increasing")
         if self.kind == "levels" and not (pts[0] > 0.0 and pts[-1] < 1.0):
             raise ValueError("level grids must lie strictly inside (0, 1)")
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        super().__post_init__()
 
     @property
     def size(self) -> int:

@@ -210,19 +210,19 @@ class TestRunCoverage:
         # CDF curves nor the truth depend on the level.
         from itedist import bootstrap_inference
         curves, grid_truths = [], []
-        cdf_columns, cdf = bootstrap_inference._cdf_columns, DgpOracle.cdf
+        cdf_at, cdf = bootstrap_inference.cdf_at, DgpOracle.cdf
 
-        def counted_columns(sorted_rows, points):
-            if np.ndim(sorted_rows) == 2:
+        def counted_cdf_at(sorted_values, points):
+            if np.ndim(sorted_values) == 2:
                 curves.append(points)
-            return cdf_columns(sorted_rows, points)
+            return cdf_at(sorted_values, points)
 
         def counted_cdf(self, v):
             if np.ndim(v):
                 grid_truths.append(v)
             return cdf(self, v)
 
-        monkeypatch.setattr(bootstrap_inference, "_cdf_columns", counted_columns)
+        monkeypatch.setattr(bootstrap_inference, "cdf_at", counted_cdf_at)
         monkeypatch.setattr(DgpOracle, "cdf", counted_cdf)
         grid = make_grid("values", 0.04, 3.96, 393)
         targets = [StudyTarget(kind="cdf-band", grid=grid, band="constant"),

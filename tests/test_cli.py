@@ -570,3 +570,57 @@ def test_small_bootstrap_warned_once(command, b, warned, bench_csv, split_csv,
     too_small = [r.getMessage() for r in caplog.records if "too small" in r.getMessage()]
     assert len(too_small) == warned
     assert all(f"B={b} is too small for level 0.99" in m for m in too_small)
+
+
+@pytest.mark.parametrize("command, key", [
+    ("table1", "levels"), ("table1", "v"), ("table3", "tau"), ("analyze", "report"),
+    ("analyze", "tau"), ("compare", "tau")])
+def test_empty_list_value_is_config_error(command, key, bench_csv, split_csv, tmp_path,
+                                          capsys, monkeypatch):
+    # a list flag with a default value would otherwise drop every product it feeds
+    import itedist.benchmark_sim
+    import itedist.cli
+    monkeypatch.setattr(itedist.cli, "ingest_csv", _unreachable)
+    monkeypatch.setattr(itedist.benchmark_sim, "run_coverage", _unreachable)
+    prefix = {"analyze": ["analyze", "--input", str(bench_csv)],
+              "compare": ["compare", "--input", str(split_csv), "--covariate-cols", "grp",
+                          "--group0", "grp=0", "--group1", "grp=1"]}.get(
+                  command, ["simulate", command])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: []}))
+    errors = []
+    for given in ([f"--{key}=,"], ["--config", str(cfg_path)]):
+        assert run_cli(*prefix, *given, "--output", str(tmp_path / "out")) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert json.loads(errors[0]) == {"command": prefix[0], "error": "config",
+                                     "message": f"--{key}: needs at least one value"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_list_defaults_may_stay_empty(capsys):
+    assert run_cli("oracle", "--tau", "0.5", "--v=,", "--y=,") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["point_estimates"]) == {"quantile@0.5", "quantile_var_sampling@0.5",
+                                           "quantile_var_estimation@0.5"}
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+def test_bad_threads_value_is_config_error(value, bench_csv, tmp_path, capsys,
+                                           monkeypatch):
+    import itedist.cli
+    monkeypatch.setattr(itedist.cli, "ingest_csv", _unreachable)
+    assert run_cli("analyze", "--input", str(bench_csv), "--threads", value,
+                   "--output", str(tmp_path / "out")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["message"].startswith("--threads: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_threads_stay_out_of_config_and_report(bench_csv, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"threads": 2}))
+    assert run_cli("oracle", "--tau", "0.5", "--config", str(cfg_path)) == 2
+    out = tmp_path / "o.json"
+    assert run_cli("oracle", "--tau", "0.5", "--threads", "2", "--output", str(out)) == 0
+    assert "threads" not in json.loads(out.read_text())["reproducibility"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itedist import ecdf, iqr, make_grid, prob_positive, quantile
+from itedist import ecdf, iqr, make_grid, order_statistics, prob_positive, quantile
 from itedist.empirical_dist import Grid, default_value_grid
 
 values_arrays = st.lists(
@@ -79,16 +79,38 @@ class TestQuantile:
             assert quantile(values, tau) == values[math.ceil(tau * 10) - 1]
 
 
-class TestCallableForms:
-    def test_quantile_fn_matches_free_function(self):
-        from itedist import QuantileFn
-        values = np.array([4.0, 1.0, 3.0, 2.0])
-        fn = QuantileFn(sorted_values=np.sort(values), n=4)
-        for tau in (0.2, 0.5, 0.743, 0.99):
-            assert fn(tau) == quantile(values, tau)
-        with pytest.raises(ValueError):
-            fn(1.0)
+class TestOrderStatistics:
+    def test_matches_ceiling_rank_oracle(self):
+        rng = np.random.default_rng(1419)
+        for _ in range(150):
+            n = int(rng.integers(1, 10_001))
+            # Random levels, rank boundaries k / n and the floats just below them.
+            k = rng.integers(1, n + 1, size=3) / n
+            levels = (1.0 - rng.uniform(size=3)).tolist() + k.tolist() + [
+                float(np.nextafter(x, 0.0)) for x in k]
+            ranks = [math.ceil(p * n) - 1 for p in levels]
+            row = np.sort(rng.normal(size=n))
+            for p, rank in zip(levels, ranks):
+                assert order_statistics(row, p) == row[rank]
+            assert np.array_equal(order_statistics(row, tuple(levels)), row[ranks])
+            rows = np.sort(rng.normal(size=(3, n)), axis=-1)
+            assert np.array_equal(order_statistics(rows, tuple(levels)), rows[:, ranks])
+            assert np.array_equal(order_statistics(rows, levels[0]), rows[:, ranks[0]])
+            cols = np.sort(rng.normal(size=(n, 3)), axis=0)
+            assert np.array_equal(order_statistics(cols, tuple(levels), axis=0),
+                                  cols[ranks, :])
+            assert np.array_equal(order_statistics(cols, levels[0], axis=0),
+                                  cols[ranks[0], :])
 
+    def test_levels_outside_unit_interval_rejected(self):
+        # rank ceil(0 * n) = 0 would read the largest value through index -1
+        for bad in (0.0, -0.1, 1.5, float("nan"), (0.5, 0.0)):
+            with pytest.raises(ValueError):
+                order_statistics(np.arange(1.0, 5.0), bad)
+        assert order_statistics(np.arange(1.0, 5.0), 1.0) == 4.0
+
+
+class TestCallableForms:
     def test_ecdf_vectorized(self):
         f = ecdf(np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(f(np.array([0.0, 1.5, 3.0])), [0.0, 1 / 3, 1.0])
