@@ -7,8 +7,10 @@ import numpy as np
 
 
 class FrozenArrays:
-    """Base of a frozen dataclass that marks its array fields read-only.
+    """Base of a frozen dataclass whose array fields are read-only.
 
+    Each array field holds a read-only view of the array it was given, so
+    the caller's own array stays writeable and no data is copied.
     Unpickling would bring the arrays back writeable and skip
     ``__post_init__``, so an object is pickled as a call of its constructor
     on its init fields, which freezes them again.  A subclass that defines
@@ -19,7 +21,9 @@ class FrozenArrays:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+                view = value.view()
+                view.setflags(write=False)
+                object.__setattr__(self, f.name, view)
 
     def __reduce__(self):
         return (type(self), tuple(getattr(self, f.name)

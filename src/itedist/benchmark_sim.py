@@ -37,10 +37,10 @@ from ._normal import ndtr, ndtri
 from ._rng import derive_seed, derive_stream, parallel_map
 from .bootstrap_inference import (BootstrapConfig, BootstrapReplicates,
                                   IntervalResult, ReplicationError, _cdf_curves,
-                                  ci_cdf, ci_prob_positive, ci_quantile_and_iqr,
-                                  draw_replicates, ucb_cdf_constant,
-                                  ucb_cdf_variable, ucb_quantile_constant,
-                                  ucb_quantile_variable)
+                                  _sorted_columns, ci_cdf, ci_prob_positive,
+                                  ci_quantile_and_iqr, draw_replicates,
+                                  ucb_cdf_constant, ucb_cdf_variable,
+                                  ucb_quantile_constant, ucb_quantile_variable)
 from .counterfactual import pseudo_ites
 from .data_model import EstimabilityError, Sample, estimate_bounds
 from .empirical_dist import Grid, ecdf, make_grid, order_statistics
@@ -483,7 +483,7 @@ def _evaluate_target(target: StudyTarget, level: float,
     kind, grid = target.kind, target.grid
     if kind == "cdf-band-interpolated":
         # Pointwise percentile intervals, scored on the grid points only.
-        lo, hi = order_statistics(np.sort(_cdf_curves(reps, grid)[1], axis=0),
+        lo, hi = order_statistics(_sorted_columns(reps, grid, _cdf_curves),
                                   (alpha / 2.0, 1.0 - alpha / 2.0), axis=0)
         return (bool(np.all((lo <= truth) & (truth <= hi))), float((hi - lo).mean()))
     if kind == "cdf-band":

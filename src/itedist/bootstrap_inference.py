@@ -5,18 +5,21 @@ draw rows with replacement, recompute the leave-one-out pseudo treatment
 effects on each resample (holding the original outcome bounds fixed), and
 keep the sorted effects or per-level quantiles of every replication.  Each
 replication's resample comes from its own keyed stream and carries its
-parent's cell codes.  A chunk of accepted resamples is stacked into one sample
-whose cells are (replication, cell), the codes offset rather than sorted
-again, so one ``pseudo_ites`` call fits the whole chunk, and each
+parent's cell codes; its rows come in the parent's (cell, treatment,
+outcome) order, which the parent sorts once.  A chunk of accepted resamples
+is stacked into one sample whose cells are (replication, cell), the codes
+offset rather than sorted again, so one ``pseudo_ites`` call fits the whole
+chunk on rows already in the order it sorts them into, and each
 replication's effects are split back out before sorting.  A row's effect
-depends only on its cell, so the chunking never changes a result.  Every
-inference product is a pure function of one such replicate set and the
-level and grid it is asked for: it reads off percentile intervals or
-sup-statistic critical values from the replication order statistics.  The
-empirical CDF curves over a value grid depend on neither, so a replicate
-set computes them on first use and keeps them per grid object; asking for
-a CDF band at several levels, or for both widths, scans the replications
-once.
+depends only on its cell, so neither the chunking nor the row order ever
+changes a result.  Every inference product is a pure function of one such
+replicate set and the level and grid it is asked for: it reads off
+percentile intervals or sup-statistic critical values from the replication
+order statistics.  A band's curves over its grid, their column-sorted copy,
+and each band kind's studentizers and sorted sup-statistic draws depend on
+neither the level nor the call, so a replicate set computes them on first
+use and keeps them per grid object; a band at any further level reads one
+rank.
 Interval endpoints, studentizers and critical values are exact order
 statistics of the replications, read by
 :func:`itedist.empirical_dist.order_statistics` (rank ``ceil(p * B)`` at
@@ -33,6 +36,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,9 +181,14 @@ def percentile_interval(values, alpha: float) -> tuple[float, float]:
 
 
 def resample(sample: Sample, rng: np.random.Generator) -> Sample:
-    """n rows drawn i.i.d. uniformly with replacement; cell codes carried over."""
-    indices = rng.integers(0, sample.n, size=sample.n)
-    return sample.take(indices)
+    """n rows drawn i.i.d. uniformly with replacement; cell codes carried over.
+
+    The drawn rows come in the parent's (cell, treatment, outcome) order:
+    each row of :attr:`Sample.row_order` repeated as often as it was drawn.
+    """
+    counts = np.bincount(rng.integers(0, sample.n, size=sample.n), minlength=sample.n)
+    order = sample.row_order
+    return sample.take(np.repeat(order, counts[order]))
 
 
 def _draw_estimable_resample(sample: Sample, cfg: BootstrapConfig, r: int,
@@ -206,9 +215,8 @@ class BootstrapReplicates(FrozenArrays):
     sorted_values: np.ndarray     # (B, n), each row ascending
     point_sorted: np.ndarray      # (n,), original-sample pseudo-ITEs, ascending
     redraws: int
-    # Empirical CDF curves by value grid, filled by the first product that
-    # needs them (see ``_cdf_curves``).
-    _cdf_by_grid: dict = field(default_factory=dict, init=False, repr=False)
+    # The level-free work of the bands, by (grid, piece) (see ``_memo``).
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def b_used(self) -> int:
@@ -251,7 +259,7 @@ def _fit_stacked(drawn: list[tuple[Sample, int]], bounds: Bounds,
 def draw_replicates(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
                     group: int = 0, threads: int = 1) -> BootstrapReplicates:
     """Run all replications once; every product can be read off the result."""
-    point = pseudo_ites(sample, bounds)
+    point = pseudo_ites(sample.take(sample.row_order), bounds)
 
     def one(chunk: range) -> tuple[np.ndarray, int]:
         return _fit_stacked([_draw_estimable_resample(sample, cfg, r, group)
@@ -308,45 +316,83 @@ def ci_prob_positive(reps: BootstrapReplicates, alpha: float) -> IntervalResult:
 # Uniform confidence bands
 # ---------------------------------------------------------------------------
 
-def _critical_value(draws: np.ndarray, alpha: float) -> float:
-    """The ``ceil(B(1-alpha))``-th order statistic of the sup-statistic draws."""
+class _BandDraws(NamedTuple):
+    """The level-free part of a band: what every level reads its rank from."""
+
+    studentizers: np.ndarray | None   # variable bands only, floored
+    floored: bool                     # some studentizer needed the floor
+    sup: np.ndarray                   # sup-statistic draws, ascending
+
+
+def _critical_value(sorted_draws: np.ndarray, alpha: float) -> float:
+    """The ``ceil(B(1-alpha))``-th order statistic of the ascending draws."""
     _check_alpha(alpha)
-    return float(order_statistics(np.sort(draws), 1.0 - alpha))
+    return float(order_statistics(sorted_draws, 1.0 - alpha))
+
+
+def _studentizers(sorted_boot: np.ndarray,
+                  scale_reference: float) -> tuple[np.ndarray, bool]:
+    """Per-grid-point bootstrap IQR over the normal quartile spread, floored,
+    and whether any point needed the floor; ``sorted_boot`` ascends down
+    each column."""
+    q1, q3 = order_statistics(sorted_boot, (0.25, 0.75), axis=0)
+    stud = (q3 - q1) / NORMAL_QUARTILE_SPREAD
+    floor = _STUDENTIZER_FLOOR * max(1.0, scale_reference)
+    floored = bool(np.any(stud < floor))
+    return (np.maximum(stud, floor) if floored else stud), floored
+
+
+def _band_draws(kind: str, center: np.ndarray, boot: np.ndarray,
+                sorted_boot: np.ndarray | None = None,
+                scale_reference: float = 0.0) -> _BandDraws:
+    """Sorted sup-statistic draws of the replications ``boot`` around
+    ``center``; a variable band also gets its studentizers, read from
+    ``sorted_boot``, ``boot`` sorted down each column (sorted here if not
+    given)."""
+    deviation = boot - center[None, :]
+    if kind == "two-sided-constant":
+        return _BandDraws(None, False, np.sort(np.max(np.abs(deviation), axis=1)))
+    if kind == "one-sided-lower":
+        return _BandDraws(None, False, np.sort(np.max(deviation, axis=1)))
+    stud, floored = _studentizers(
+        np.sort(boot, axis=0) if sorted_boot is None else sorted_boot, scale_reference)
+    return _BandDraws(stud, floored,
+                      np.sort(np.max(np.abs(deviation) / stud[None, :], axis=1)))
+
+
+def _band(target: str, grid: Grid, center: np.ndarray, kind: str,
+          draws: _BandDraws, alpha: float, b_used: int, redraws: int) -> BandResult:
+    """The band of ``kind`` at level ``alpha``: one rank read off its draws."""
+    if draws.floored:
+        warnings.warn(
+            "bootstrap spread is (near) zero at some grid points; "
+            "studentizer floored, variable-width band may be unreliable there",
+            RuntimeWarning, stacklevel=3)
+    crit = _critical_value(draws.sup, alpha)
+    if kind == "two-sided-variable":
+        half_width = crit * draws.studentizers
+    else:
+        half_width = np.full(grid.size, max(crit, 0.0) if kind == "one-sided-lower"
+                             else crit)
+    return BandResult(target=target, grid=grid, center=center, half_width=half_width,
+                      kind=kind, critical_value=crit, b_used=b_used, redraws=redraws)
 
 
 def _constant_band(target: str, grid: Grid, center: np.ndarray,
                    boot: np.ndarray, alpha: float, b_used: int,
                    redraws: int) -> BandResult:
-    crit = _critical_value(np.max(np.abs(boot - center[None, :]), axis=1), alpha)
-    return BandResult(target=target, grid=grid, center=center,
-                      half_width=np.full(grid.size, crit),
-                      kind="two-sided-constant", critical_value=crit,
-                      b_used=b_used, redraws=redraws)
-
-
-def _studentizers(boot: np.ndarray, scale_reference: float) -> np.ndarray:
-    """Per-grid-point bootstrap IQR over the normal quartile spread, floored."""
-    q1, q3 = order_statistics(np.sort(boot, axis=0), (0.25, 0.75), axis=0)
-    stud = (q3 - q1) / NORMAL_QUARTILE_SPREAD
-    floor = _STUDENTIZER_FLOOR * max(1.0, scale_reference)
-    if np.any(stud < floor):
-        warnings.warn(
-            "bootstrap spread is (near) zero at some grid points; "
-            "studentizer floored, variable-width band may be unreliable there",
-            RuntimeWarning, stacklevel=3)
-        stud = np.maximum(stud, floor)
-    return stud
+    kind = "two-sided-constant"
+    return _band(target, grid, center, kind, _band_draws(kind, center, boot),
+                 alpha, b_used, redraws)
 
 
 def _variable_band(target: str, grid: Grid, center: np.ndarray,
                    boot: np.ndarray, alpha: float, scale_reference: float,
                    b_used: int, redraws: int) -> BandResult:
-    stud = _studentizers(boot, scale_reference)
-    crit = _critical_value(
-        np.max(np.abs(boot - center[None, :]) / stud[None, :], axis=1), alpha)
-    return BandResult(target=target, grid=grid, center=center,
-                      half_width=crit * stud, kind="two-sided-variable",
-                      critical_value=crit, b_used=b_used, redraws=redraws)
+    kind = "two-sided-variable"
+    return _band(target, grid, center, kind,
+                 _band_draws(kind, center, boot, scale_reference=scale_reference),
+                 alpha, b_used, redraws)
 
 
 def _check_grid(grid: Grid, kind: str) -> None:
@@ -355,30 +401,64 @@ def _check_grid(grid: Grid, kind: str) -> None:
                          f"got {grid.kind!r}")
 
 
+def _memo(reps, grid: Grid, piece: str, build):
+    """``build()``, computed once per replicate set, grid object and piece.
+
+    A band's curves over its grid, their column-sorted copy and each band
+    kind's draws depend on neither the level nor the call, so the replicate
+    set keeps them, read-only.
+    """
+    key = (grid, piece)
+    value = reps._memo.get(key)
+    if value is None:
+        value = build()
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        reps._memo[key] = value
+    return value
+
+
 def _cdf_curves(reps: BootstrapReplicates,
                 grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Original and per-replication empirical CDFs over a value grid.
-
-    They depend on neither the level nor the band, so the replicate set
-    keeps them, read-only, for each grid object they were asked for.
-    """
+    """Original and per-replication empirical CDFs over a value grid."""
     _check_grid(grid, "values")
-    curves = reps._cdf_by_grid.get(grid)
-    if curves is None:
-        curves = (cdf_at(reps.point_sorted, grid.points),
-                  cdf_at(reps.sorted_values, grid.points))
-        for curve in curves:
-            curve.setflags(write=False)
-        reps._cdf_by_grid[grid] = curves
-    return curves
+    return _memo(reps, grid, "curves",
+                 lambda: (cdf_at(reps.point_sorted, grid.points),
+                          cdf_at(reps.sorted_values, grid.points)))
 
 
 def _quantile_curves(reps: BootstrapReplicates,
                      grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Original and per-replication empirical quantiles over a level grid."""
     _check_grid(grid, "levels")
-    return (order_statistics(reps.point_sorted, grid.points),
-            order_statistics(reps.sorted_values, grid.points))
+    return _memo(reps, grid, "curves",
+                 lambda: (order_statistics(reps.point_sorted, grid.points),
+                          order_statistics(reps.sorted_values, grid.points)))
+
+
+def _sorted_columns(reps, grid: Grid, curves) -> np.ndarray:
+    """The replications of ``curves(reps, grid)``, sorted down each column."""
+    return _memo(reps, grid, "sorted", lambda: np.sort(curves(reps, grid)[1], axis=0))
+
+
+def _kept_draws(reps, grid: Grid, curves, kind: str,
+                scale_reference: float = 0.0) -> _BandDraws:
+    """The draws of a band of ``kind`` over ``curves(reps, grid)``, kept by
+    the replicate set."""
+    def build():
+        center, boot = curves(reps, grid)
+        sorted_boot = (_sorted_columns(reps, grid, curves)
+                       if kind == "two-sided-variable" else None)
+        return _band_draws(kind, center, boot, sorted_boot, scale_reference)
+    return _memo(reps, grid, kind, build)
+
+
+def _kept_band(reps, alpha: float, grid: Grid, curves, target: str, kind: str,
+               redraws: int, scale_reference: float = 0.0) -> BandResult:
+    draws = _kept_draws(reps, grid, curves, kind, scale_reference)
+    return _band(target, grid, curves(reps, grid)[0], kind, draws, alpha,
+                 reps.b_used, redraws)
 
 
 def ucb_cdf_constant(reps: BootstrapReplicates, alpha: float,
@@ -389,25 +469,22 @@ def ucb_cdf_constant(reps: BootstrapReplicates, alpha: float,
     absolute deviation between the resampled and original CDF over the grid.
     The stored band is unclipped; display layers may clip to [0, 1].
     """
-    center, boot = _cdf_curves(reps, grid)
-    return _constant_band("cdf", grid, center, boot, alpha,
-                          reps.b_used, reps.redraws)
+    return _kept_band(reps, alpha, grid, _cdf_curves, "cdf", "two-sided-constant",
+                      reps.redraws)
 
 
 def ucb_cdf_variable(reps: BootstrapReplicates, alpha: float,
                      grid: Grid) -> BandResult:
     """Variable-width uniform band for the CDF over the value grid."""
-    center, boot = _cdf_curves(reps, grid)
-    return _variable_band("cdf", grid, center, boot, alpha,
-                          iqr(reps.point_sorted), reps.b_used, reps.redraws)
+    return _kept_band(reps, alpha, grid, _cdf_curves, "cdf", "two-sided-variable",
+                      reps.redraws, iqr(reps.point_sorted))
 
 
 def ucb_quantile_constant(reps: BootstrapReplicates, alpha: float,
                           grid: Grid) -> BandResult:
     """Constant-width uniform band for the quantile function over the level grid."""
-    center, boot = _quantile_curves(reps, grid)
-    return _constant_band("quantile", grid, center, boot, alpha,
-                          reps.b_used, reps.redraws)
+    return _kept_band(reps, alpha, grid, _quantile_curves, "quantile",
+                      "two-sided-constant", reps.redraws)
 
 
 def ucb_quantile_variable(reps: BootstrapReplicates, alpha: float,
@@ -418,9 +495,8 @@ def ucb_quantile_variable(reps: BootstrapReplicates, alpha: float,
     spread over the normal quartile spread, so the band narrows where the
     quantile is estimated more precisely.
     """
-    center, boot = _quantile_curves(reps, grid)
-    return _variable_band("quantile", grid, center, boot, alpha,
-                          iqr(reps.point_sorted), reps.b_used, reps.redraws)
+    return _kept_band(reps, alpha, grid, _quantile_curves, "quantile",
+                      "two-sided-variable", reps.redraws, iqr(reps.point_sorted))
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +521,8 @@ class TwoGroupReplicates(FrozenArrays):
     iqr1: float
     redraws: tuple[int, int]
     shift: float = 0.0
+    # The level-free work of the bands and tests, by (grid, piece).
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def b_used(self) -> int:
@@ -487,8 +565,8 @@ def two_group_quantile_replicates(sample0: Sample, sample1: Sample,
     if np.any(np.diff(levels) <= 0):
         raise ValueError("evaluation levels must be strictly increasing")
 
-    point0 = np.sort(pseudo_ites(sample0, bounds0).values)
-    point1 = np.sort(pseudo_ites(sample1, bounds1).values)
+    point0 = np.sort(pseudo_ites(sample0.take(sample0.row_order), bounds0).values)
+    point1 = np.sort(pseudo_ites(sample1.take(sample1.row_order), bounds1).values)
 
     def one(chunk: range):
         drawn = [(_draw_estimable_resample(sample0, cfg, r, 0),
@@ -538,8 +616,15 @@ def _difference_curves(reps: TwoGroupReplicates,
                        grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Quantile difference and its replications over a level grid."""
     _check_grid(grid, "levels")
-    idx = [reps.level_index(t) for t in grid.points]
-    return reps.delta[idx], reps.delta_boot[:, idx]
+
+    def build():
+        idx = [reps.level_index(t) for t in grid.points]
+        return reps.delta[idx], reps.delta_boot[:, idx]
+    return _memo(reps, grid, "curves", build)
+
+
+_BAND_KINDS = {"constant": "two-sided-constant", "variable": "two-sided-variable",
+               "one-sided-lower": "one-sided-lower"}
 
 
 def ucb_quantile_difference(reps: TwoGroupReplicates, alpha: float, grid: Grid, *,
@@ -549,21 +634,11 @@ def ucb_quantile_difference(reps: TwoGroupReplicates, alpha: float, grid: Grid, 
     ``band`` selects ``constant`` or ``variable`` width, or
     ``one-sided-lower`` for the dominance-style band ``[delta - crit, inf)``.
     """
-    center, boot = _difference_curves(reps, grid)
-    if band == "constant":
-        return _constant_band("quantile-difference", grid, center, boot,
-                              alpha, reps.b_used, reps.total_redraws)
-    if band == "variable":
-        return _variable_band("quantile-difference", grid, center, boot,
-                              alpha, max(reps.iqr0, reps.iqr1),
-                              reps.b_used, reps.total_redraws)
-    if band == "one-sided-lower":
-        crit = _critical_value(np.max(boot - center[None, :], axis=1), alpha)
-        return BandResult(target="quantile-difference", grid=grid, center=center,
-                          half_width=np.full(grid.size, max(crit, 0.0)),
-                          kind="one-sided-lower", critical_value=crit,
-                          b_used=reps.b_used, redraws=reps.total_redraws)
-    raise ValueError(f"unknown band selector {band!r}")
+    if band not in _BAND_KINDS:
+        raise ValueError(f"unknown band selector {band!r}")
+    return _kept_band(reps, alpha, grid, _difference_curves, "quantile-difference",
+                      _BAND_KINDS[band], reps.total_redraws,
+                      max(reps.iqr0, reps.iqr1))
 
 
 _HYPOTHESES = ("equality", "location-shift", "dominance")
@@ -585,18 +660,19 @@ def test_distributions(reps: TwoGroupReplicates, alpha: float, grid: Grid,
     if hypothesis not in _HYPOTHESES:
         raise ValueError(f"hypothesis must be one of {_HYPOTHESES}, got {hypothesis!r}")
     delta, boot = _difference_curves(reps, grid)
-    if hypothesis == "equality":
-        statistic = float(np.max(np.abs(delta)))
-        draws = np.max(np.abs(boot - delta[None, :]), axis=1)
-    elif hypothesis == "location-shift":
+    if hypothesis == "location-shift":
         centered = delta - delta.mean()
-        centered_boot = boot - boot.mean(axis=1, keepdims=True)
         statistic = float(np.max(np.abs(centered)))
-        draws = np.max(np.abs(centered_boot - centered[None, :]), axis=1)
+        draws = _band_draws("two-sided-constant", centered,
+                            boot - boot.mean(axis=1, keepdims=True))
     else:
-        statistic = float(np.max(delta))
-        draws = np.max(boot - delta[None, :], axis=1)
-    critical = _critical_value(draws, alpha)
+        # The equality and dominance draws are those of the constant and
+        # the one-sided band.
+        equality = hypothesis == "equality"
+        statistic = float(np.max(np.abs(delta) if equality else delta))
+        draws = _kept_draws(reps, grid, _difference_curves,
+                            "two-sided-constant" if equality else "one-sided-lower")
+    critical = _critical_value(draws.sup, alpha)
     return TestResult(hypothesis=hypothesis, statistic=statistic,
                       critical_value=critical, reject=statistic > critical,
                       alpha=alpha, b_used=reps.b_used,

@@ -525,8 +525,9 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
     n = sample.n
     group = np.concatenate((2 * cell + d, queried, queried))
     values = np.concatenate((y, lo[queried], hi[queried]))
-    order = np.argsort(values)   # ties within a group may come in any order
-    order = order[np.argsort(group[order], kind="stable")]
+    # Linear on rows already in (cell, treatment, outcome) order, as every
+    # bootstrap fit's are; ties within a group may come in any order.
+    order = np.argsort(_keyed(group, values), kind="stable")
     group, values = group[order], values[order]
     is_row = order < n
     src = order[is_row]   # rows, sorted by (group, y)

@@ -7,10 +7,10 @@ are factorized once, when a sample is built from raw covariates: each row
 carries an integer cell code, its cell's position in a table of the distinct
 covariate values in ascending order.  A subsample or resample (``take``) and
 a stack of resamples (``stack``) carry the codes over and compact the table,
-so they never sort covariates again.  The covariate matrix and the index from
-each covariate value to its row positions are derived from the codes when
-first asked for.  Samples are immutable after construction and safe to share
-across workers.
+so they never sort covariates again.  The covariate matrix, the index from
+each covariate value to its row positions and the rows' (cell, treatment,
+outcome) order are derived when first asked for.  Samples are immutable
+after construction and safe to share across workers.
 """
 from __future__ import annotations
 
@@ -63,6 +63,9 @@ class Sample:
         Maps each covariate value, in table order, to the ascending row
         positions holding it; derived from the codes on first use.  The
         cells partition ``range(n)``.
+    row_order : ndarray
+        Row positions in (cell, treatment, outcome) order, computed on
+        first use.
     """
 
     def __init__(self, outcomes, treatments, instruments, covariates):
@@ -87,8 +90,10 @@ class Sample:
                   np.bincount(codes, minlength=len(table)))
 
     def _set(self, y, d, z, codes, table, sizes) -> None:
+        # Read-only views: a caller's own array stays writeable.
         for name, value in (("outcomes", y), ("treatments", d), ("instruments", z),
                             ("cell_codes", codes), ("cell_sizes", sizes)):
+            value = value.view()
             value.setflags(write=False)
             self.__dict__[name] = value
         self.__dict__["cell_table"] = table
@@ -135,6 +140,12 @@ class Sample:
             rows.setflags(write=False)
             index[cell] = rows
         return index
+
+    @cached_property
+    def row_order(self) -> np.ndarray:
+        order = _row_order(self.cell_codes, self.treatments, self.outcomes)
+        order.setflags(write=False)
+        return order
 
     def cell_rows(self, cell: Cell) -> np.ndarray:
         return self.cell_index[cell]
@@ -212,6 +223,13 @@ def _covariate_codes(values) -> np.ndarray:
         raise ValueError(f"covariates must be integer codes that fit in 64 bits, "
                          f"got {raw[row, col].item()!r} at row {row}, column {col}")
     return np.array(raw, dtype=np.int64)
+
+
+def _row_order(codes: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row positions sorted by (cell code, treatment, outcome); tied outcomes
+    may come in any order."""
+    order = np.argsort(y)
+    return order[np.argsort((2 * codes + d)[order], kind="stable")]
 
 
 def _factorize(x: np.ndarray) -> tuple[np.ndarray, tuple[Cell, ...]]:

@@ -234,6 +234,45 @@ class TestRunCoverage:
         assert len(curves) == 3
         assert len(grid_truths) <= len(targets)
 
+    @pytest.mark.filterwarnings("ignore:bootstrap spread:RuntimeWarning")
+    def test_band_draws_and_column_sorts_once_per_set_grid_and_kind(self):
+        # Over three levels, each sample's replicate set builds each band
+        # kind's sup-statistic draws once per grid and sorts each grid's
+        # replication curves down their columns once (the variable band and
+        # the interpolated band share that sort), and sorts its rows once.
+        from unittest import mock
+
+        from itedist import bootstrap_inference, data_model
+        values = make_grid("values", 0.04, 3.96, 393)
+        levels = make_grid("levels", 0.05, 0.95, 91)
+        targets = [StudyTarget(kind="cdf-band", grid=values, band="constant"),
+                   StudyTarget(kind="cdf-band", grid=values, band="variable"),
+                   StudyTarget(kind="cdf-band-interpolated", grid=values),
+                   StudyTarget(kind="quantile-band", grid=levels, band="constant"),
+                   StudyTarget(kind="quantile-band", grid=levels, band="variable")]
+        sort = np.sort
+        column_sorts = []
+
+        def counted_sort(a, axis=-1, **kwargs):
+            if axis == 0:
+                column_sorts.append(np.shape(a))
+            return sort(a, axis=axis, **kwargs)
+
+        with mock.patch.object(bootstrap_inference, "_band_draws",
+                               wraps=bootstrap_inference._band_draws) as draws, \
+                mock.patch.object(data_model, "_row_order",
+                                  wraps=data_model._row_order) as row_order, \
+                mock.patch.object(np, "sort", counted_sort):
+            reports = run_coverage(targets, n=150, reps=3, levels=[0.9, 0.95, 0.99],
+                                   b=20, seed=34)
+        assert all(r.failures == 0 for r in reports)
+        kinds = sorted((call.args[0], call.args[2].shape[1])
+                       for call in draws.call_args_list)
+        assert kinds == sorted([("two-sided-constant", 393), ("two-sided-variable", 393),
+                                ("two-sided-constant", 91), ("two-sided-variable", 91)] * 3)
+        assert sorted(column_sorts) == sorted([(20, 393), (20, 91)] * 3)
+        assert row_order.call_count == 3
+
     def test_target_validation(self):
         with pytest.raises(ValueError):
             StudyTarget(kind="cdf-ci")            # missing v

@@ -252,6 +252,54 @@ class TestChunkedReplicates:
         assert np.array_equal(reps.sorted_values[3], np.sort(pseudo_ites(draw, bounds).values))
 
 
+def _rows(sample):
+    """The sample's rows as (cell, treatment, instrument, outcome), sorted."""
+    cells = [sample.cell_table[c] for c in sample.cell_codes.tolist()]
+    return sorted(zip(cells, sample.treatments.tolist(), sample.instruments.tolist(),
+                      sample.outcomes.tolist()))
+
+
+class TestResampleOrder:
+    @example(Sample(outcomes=[1.0, 2.0, 2.0, 1.0, 1.5, 2.5, 2.5, 0.5],
+                    treatments=[0, 1, 1, 0] * 2, instruments=[0, 1, 0, 1] * 2,
+                    covariates=[[-1]] * 4 + [[-2]] * 4), 5, 4)
+    @given(multi_cell_samples(), st.integers(0, 2 ** 32 - 1), st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_arrive_sorted_and_fit_like_the_drawn_rows(self, sample, seed, b):
+        # A resample holds the rows of ``sample.take(indices)`` for the
+        # indices its keyed stream draws, in (cell, treatment, outcome)
+        # order; the replications equal fits of those rows as drawn.
+        bounds = estimate_bounds(sample)
+        for attempt in range(3):
+            draw = resample(sample, derive_stream(seed, 0, 0, attempt))
+            rng = derive_stream(seed, 0, 0, attempt)
+            drawn = sample.take(rng.integers(0, sample.n, size=sample.n))
+            by_key = np.lexsort((draw.outcomes, draw.treatments, draw.cell_codes))
+            assert np.array_equal(by_key, np.arange(draw.n))   # stable: already sorted
+            assert _rows(draw) == _rows(drawn)
+        cfg = BootstrapConfig(n_replications=b, seed=seed, max_redraws=1000)
+        reference = []
+        for r in range(b):
+            for attempt in range(cfg.max_redraws + 1):
+                rng = derive_stream(seed, r, 0, attempt)
+                drawn = sample.take(rng.integers(0, sample.n, size=sample.n))
+                if min_instrument_margin(drawn) >= 2:
+                    break
+            reference.append(np.sort(pseudo_ites(drawn, bounds).values))
+        reps = draw_replicates(sample, bounds, cfg)
+        assert reps.sorted_values.tobytes() == np.array(reference).tobytes()
+        point = np.sort(pseudo_ites(sample, bounds).values)
+        assert reps.point_sorted.tobytes() == point.tobytes()
+
+    def test_row_order_computed_once_per_draw(self, bench_small):
+        gen, bounds = bench_small
+        sample = gen.sample.take(np.arange(gen.sample.n))   # no cached order yet
+        with mock.patch.object(data_model, "_row_order",
+                               wraps=data_model._row_order) as row_order:
+            draw_replicates(sample, bounds, BootstrapConfig(n_replications=30, seed=2))
+        assert row_order.call_count == 1
+
+
 class TestCellCodesCarriedOver:
     def test_no_factorization_while_resampling(self, two_cell_sample):
         # Cells are factorized when a sample is built from raw covariates;
@@ -403,6 +451,35 @@ class TestBands:
                     assert np.array_equal(reused.center, new.center)
                     assert np.array_equal(reused.half_width, new.half_width)
 
+    def test_levels_in_any_order_match_a_fresh_set(self, bench_small):
+        # The level-free work a replicate set keeps must not leak from one
+        # level into the next: every product at every level, asked in either
+        # order, equals that of an identical set drawn afresh for it alone.
+        gen, bounds = bench_small
+        cfg = BootstrapConfig(n_replications=40, seed=16)
+        values = make_grid("values", 0.1, 3.5, 30)
+        levels = make_grid("levels", 0.2, 0.8, 13)
+        bands = [(product, values) for product in (ucb_cdf_constant, ucb_cdf_variable)]
+        bands += [(product, levels) for product in (ucb_quantile_constant,
+                                                    ucb_quantile_variable)]
+        intervals = [lambda reps, alpha: ci_cdf(reps, alpha, 2.0),
+                     lambda reps, alpha: ci_quantile_and_iqr(reps, alpha, 0.5)[0],
+                     lambda reps, alpha: ci_quantile_and_iqr(reps, alpha, 0.5)[1],
+                     ci_prob_positive]
+        for alphas in ((0.01, 0.05, 0.1), (0.1, 0.01, 0.05)):
+            reps = draw_replicates(gen.sample, bounds, cfg)
+            for alpha in alphas:
+                for product, grid in bands:
+                    kept = product(reps, alpha, grid)
+                    fresh = product(draw_replicates(gen.sample, bounds, cfg), alpha, grid)
+                    assert kept.critical_value == fresh.critical_value
+                    assert kept.half_width.tobytes() == fresh.half_width.tobytes()
+                    assert kept.center.tobytes() == fresh.center.tobytes()
+                for interval in intervals:
+                    kept = interval(reps, alpha)
+                    fresh = interval(draw_replicates(gen.sample, bounds, cfg), alpha)
+                    assert (kept.lo, kept.hi) == (fresh.lo, fresh.hi)
+
     def test_cdf_variable_band_runs(self, bench_small):
         gen, bounds = bench_small
         grid = make_grid("values", 0.1, 3.5, 20)
@@ -463,6 +540,25 @@ class TestTwoGroup:
         for hypothesis in ("equality", "location-shift", "dominance"):
             result = distribution_test(reps, 0.05, grid, hypothesis)
             assert not result.reject     # 0 > 0 is false: accept
+
+    def test_levels_in_any_order_match_a_fresh_set(self, groups):
+        s0, b0, s1, b1 = groups
+        grid = make_grid("levels", 0.2, 0.8, 7)
+        cfg = BootstrapConfig(n_replications=30, seed=17)
+
+        def draw():
+            return two_group_quantile_replicates(s0, s1, b0, b1, cfg, grid.points)
+
+        reps = draw()
+        for alpha in (0.1, 0.01, 0.05):
+            for band in ("constant", "variable", "one-sided-lower"):
+                kept = ucb_quantile_difference(reps, alpha, grid, band=band)
+                fresh = ucb_quantile_difference(draw(), alpha, grid, band=band)
+                assert kept.critical_value == fresh.critical_value
+                assert kept.half_width.tobytes() == fresh.half_width.tobytes()
+            for hypothesis in ("equality", "location-shift", "dominance"):
+                assert (distribution_test(reps, alpha, grid, hypothesis)
+                        == distribution_test(draw(), alpha, grid, hypothesis))
 
     def test_interval_targets(self, groups):
         s0, b0, s1, b1 = groups

@@ -440,6 +440,40 @@ class TestPseudoItes:
         shuffled = pseudo_ites(gen.sample.take(perm), bounds)
         assert np.array_equal(shuffled.values, base.values[perm])
 
+    # Bounds strictly inside two cells' outcomes, so that some rows tie a
+    # bound and some lie outside it; bounds outside one cell's outcomes.
+    @example(([([1.0, 2.0, 2.0, 1.0, 3.0, 2.0], [0, 1, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]),
+               ([0.0, 3.0, 1.0, 3.0, 1.0, 2.0], [0, 1, 1, 0, 0, 1], [0, 1, 0, 1, 1, 0])],
+              [(0.25, 0.5), (0.5, 0.25), (0.25, 0.25), (0.5, 0.5)] + [(0.0, 0.0)] * 2, 0))
+    @example(([([1.0, 0.0, 2.0, 1.0, 1.0], [0, 1, 1, 0, 1], [0, 1, 0, 1, 0])],
+              [(-2.0, -0.5), (-0.5, -2.0)] + [(0.0, 0.0)] * 4, 1))
+    @given(st.tuples(
+        st.lists(oracle_cells(), min_size=1, max_size=3),
+        st.lists(st.tuples(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 0.5]),
+                           st.sampled_from([-2.0, -0.5, 0.0, 0.25, 0.5])),
+                 min_size=6, max_size=6),
+        st.integers(0, 2 ** 32 - 1)))
+    @settings(max_examples=80, deadline=None)
+    def test_any_row_order_gives_the_same_effects(self, case):
+        # The bootstrap fits rows presorted by (cell, treatment, outcome) and
+        # the point fit rows in any order; each row's effect must not depend
+        # on where the row sits, bit for bit.  Each (treatment, cell) group's
+        # bounds move in by ``a`` and ``b`` times its range, out when negative.
+        cells, moves, seed = case
+        s = Sample(outcomes=[v for y, _, _ in cells for v in y],
+                   treatments=[v for _, d, _ in cells for v in d],
+                   instruments=[v for _, _, z in cells for v in z],
+                   covariates=[c for c, (y, _, _) in enumerate(cells) for _ in y])
+        observed = sorted(estimate_bounds(s).by_group.items())
+        shifted = {key: (lo + a * (hi - lo), hi - b * (hi - lo))
+                   for (key, (lo, hi)), (a, b) in zip(observed, moves)}
+        bounds = Bounds({key: (lo, max(lo, hi)) for key, (lo, hi) in shifted.items()})
+        base = pseudo_ites(s, bounds)
+        for perm in (s.row_order, np.random.default_rng(seed).permutation(s.n)):
+            moved = pseudo_ites(s.take(perm), bounds)
+            assert moved.values.tobytes() == base.values[perm].tobytes()
+            assert moved.minimizers.tobytes() == base.minimizers[perm].tobytes()
+
     def test_multi_cell_sample(self, two_cell_sample):
         bounds = estimate_bounds(two_cell_sample)
         vec = pseudo_ites(two_cell_sample, bounds)

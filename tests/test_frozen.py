@@ -7,9 +7,9 @@ import pickle
 import numpy as np
 import pytest
 
-from itedist import (BootstrapConfig, build_context, draw_replicates, ecdf,
-                     estimate_bounds, gaussian_diagnostic, generate, make_grid,
-                     pseudo_ites, two_group_quantile_replicates,
+from itedist import (BandResult, BootstrapConfig, Ecdf, Grid, Sample, build_context,
+                     draw_replicates, ecdf, estimate_bounds, gaussian_diagnostic,
+                     generate, make_grid, pseudo_ites, two_group_quantile_replicates,
                      ucb_quantile_variable)
 from itedist._rng import derive_stream
 
@@ -54,3 +54,31 @@ def test_array_fields_stay_read_only_after_pickling(name, bench_small):
         assert not before.flags.writeable, field
         assert not after.flags.writeable, field
         assert np.array_equal(before, after), field
+
+
+
+BUILT_FROM_CALLER_ARRAYS = {
+    "Grid": lambda a, b: Grid("levels", a),
+    "Ecdf": lambda a, b: Ecdf(sorted_values=a, n=len(a)),
+    "BandResult": lambda a, b: BandResult(
+        target="cdf", grid=Grid("values", np.array([1.0, 2.0, 3.0])), center=a,
+        half_width=b, kind="two-sided-constant", critical_value=0.05,
+        b_used=10, redraws=0),
+    "Sample": lambda a, b: Sample(outcomes=a, treatments=[0, 1, 1],
+                                  instruments=[0, 1, 0], covariates=[0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", BUILT_FROM_CALLER_ARRAYS)
+def test_caller_arrays_stay_writeable(name):
+    # A holder freezes a view of each float64 array it is given: no copy,
+    # and the caller's own array stays writeable.
+    a, b = np.array([0.1, 0.2, 0.3]), np.array([0.05, 0.05, 0.05])
+    holder = BUILT_FROM_CALLER_ARRAYS[name](a, b)
+    assert a.flags.writeable and b.flags.writeable
+    assert any(np.shares_memory(value, a) for value in vars(holder).values()
+               if isinstance(value, np.ndarray))
+    for restored in (holder, pickle.loads(pickle.dumps(holder))):
+        arrays = [value for value in vars(restored).values()
+                  if isinstance(value, np.ndarray)]
+        assert arrays and not any(value.flags.writeable for value in arrays)
