@@ -120,6 +120,8 @@ class BandResult(FrozenArrays):
     ``[center - half_width, +inf)`` at every grid point.
     """
 
+    copies_arrays = True
+
     target: str
     grid: Grid
     center: np.ndarray
@@ -343,19 +345,18 @@ def _studentizers(sorted_boot: np.ndarray,
 
 
 def _band_draws(kind: str, center: np.ndarray, boot: np.ndarray,
-                sorted_boot: np.ndarray | None = None,
+                sorted_boot: np.ndarray | None,
                 scale_reference: float = 0.0) -> _BandDraws:
     """Sorted sup-statistic draws of the replications ``boot`` around
     ``center``; a variable band also gets its studentizers, read from
-    ``sorted_boot``, ``boot`` sorted down each column (sorted here if not
-    given)."""
+    ``sorted_boot``, ``boot`` sorted down each column (unused by the other
+    kinds)."""
     deviation = boot - center[None, :]
     if kind == "two-sided-constant":
         return _BandDraws(None, False, np.sort(np.max(np.abs(deviation), axis=1)))
     if kind == "one-sided-lower":
         return _BandDraws(None, False, np.sort(np.max(deviation, axis=1)))
-    stud, floored = _studentizers(
-        np.sort(boot, axis=0) if sorted_boot is None else sorted_boot, scale_reference)
+    stud, floored = _studentizers(sorted_boot, scale_reference)
     return _BandDraws(stud, floored,
                       np.sort(np.max(np.abs(deviation) / stud[None, :], axis=1)))
 
@@ -376,23 +377,6 @@ def _band(target: str, grid: Grid, center: np.ndarray, kind: str,
                              else crit)
     return BandResult(target=target, grid=grid, center=center, half_width=half_width,
                       kind=kind, critical_value=crit, b_used=b_used, redraws=redraws)
-
-
-def _constant_band(target: str, grid: Grid, center: np.ndarray,
-                   boot: np.ndarray, alpha: float, b_used: int,
-                   redraws: int) -> BandResult:
-    kind = "two-sided-constant"
-    return _band(target, grid, center, kind, _band_draws(kind, center, boot),
-                 alpha, b_used, redraws)
-
-
-def _variable_band(target: str, grid: Grid, center: np.ndarray,
-                   boot: np.ndarray, alpha: float, scale_reference: float,
-                   b_used: int, redraws: int) -> BandResult:
-    kind = "two-sided-variable"
-    return _band(target, grid, center, kind,
-                 _band_draws(kind, center, boot, scale_reference=scale_reference),
-                 alpha, b_used, redraws)
 
 
 def _check_grid(grid: Grid, kind: str) -> None:
@@ -664,7 +648,7 @@ def test_distributions(reps: TwoGroupReplicates, alpha: float, grid: Grid,
         centered = delta - delta.mean()
         statistic = float(np.max(np.abs(centered)))
         draws = _band_draws("two-sided-constant", centered,
-                            boot - boot.mean(axis=1, keepdims=True))
+                            boot - boot.mean(axis=1, keepdims=True), None)
     else:
         # The equality and dominance draws are those of the constant and
         # the one-sided band.

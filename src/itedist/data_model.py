@@ -46,7 +46,8 @@ class Sample:
     Attributes
     ----------
     outcomes, treatments, instruments : ndarray
-        Row-aligned arrays (float, 0/1 int, 0/1 int).
+        Row-aligned arrays (float, 0/1 int, 0/1 int), read-only copies of
+        the arrays the sample was built from.
     cell_codes : ndarray
         The ``intp`` cell code of each row: its cell's position in
         ``cell_table``.
@@ -69,7 +70,7 @@ class Sample:
     """
 
     def __init__(self, outcomes, treatments, instruments, covariates):
-        y = np.asarray(outcomes, dtype=np.float64)
+        y = np.array(outcomes, dtype=np.float64)
         if y.ndim != 1:
             raise ValueError(f"outcomes must be one-dimensional, got {y.ndim} dimensions")
         d = _indicator(treatments, "treatments")
@@ -86,14 +87,11 @@ class Sample:
         codes, table = _factorize(x)
         x.setflags(write=False)
         self.__dict__["covariates"] = x
-        self._set(np.ascontiguousarray(y), d, z, codes, table,
-                  np.bincount(codes, minlength=len(table)))
+        self._set(y, d, z, codes, table, np.bincount(codes, minlength=len(table)))
 
     def _set(self, y, d, z, codes, table, sizes) -> None:
-        # Read-only views: a caller's own array stays writeable.
         for name, value in (("outcomes", y), ("treatments", d), ("instruments", z),
                             ("cell_codes", codes), ("cell_sizes", sizes)):
-            value = value.view()
             value.setflags(write=False)
             self.__dict__[name] = value
         self.__dict__["cell_table"] = table
@@ -190,7 +188,7 @@ def stack(samples: Sequence[Sample], labels: Sequence[int]) -> Sample:
 
 
 def _indicator(values, name: str) -> np.ndarray:
-    """A 0/1 column as ``int8``, checked on the values as given."""
+    """A 0/1 column as an ``int8`` copy, checked on the values as given."""
     raw = np.asarray(values)
     if raw.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got {raw.ndim} dimensions")
@@ -198,7 +196,7 @@ def _indicator(values, name: str) -> np.ndarray:
     if not np.all(ok):
         bad = int(np.flatnonzero(~ok)[0])
         raise ValueError(f"{name} must be 0 or 1, got {raw.tolist()[bad]!r} at row {bad}")
-    return np.ascontiguousarray(raw, dtype=np.int8)
+    return np.array(raw, dtype=np.int8)
 
 
 def _covariate_codes(values) -> np.ndarray:

@@ -63,6 +63,8 @@ def cdf_at(sorted_values: np.ndarray, points) -> np.ndarray:
 class Ecdf(FrozenArrays):
     """Empirical CDF over a sorted copy of the values."""
 
+    copies_arrays = True
+
     sorted_values: np.ndarray
     n: int
 
@@ -98,6 +100,8 @@ def prob_positive(values) -> float:
 @dataclass(frozen=True, eq=False)
 class Grid(FrozenArrays):
     """Equally spaced evaluation points, over values or probability levels."""
+
+    copies_arrays = True
 
     kind: str                   # "values" | "levels"
     points: np.ndarray

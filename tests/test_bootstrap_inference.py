@@ -20,8 +20,7 @@ from itedist import (BootstrapConfig, GroupSelector, NORMAL_QUARTILE_SPREAD,
                      ucb_quantile_variable, ucb_quantile_difference)
 from itedist import test_distributions as distribution_test
 from itedist._rng import derive_stream
-from itedist.bootstrap_inference import (_constant_band, _draw_estimable_resample,
-                                         _variable_band)
+from itedist.bootstrap_inference import _band, _band_draws, _draw_estimable_resample
 from itedist.empirical_dist import Grid
 
 
@@ -370,8 +369,9 @@ class TestBands:
         grid = Grid(kind="values", points=np.array([0.0, 1.0, 2.0]))
         center = np.array([0.1, 0.5, 0.9])
         boot = np.array([[0.3, 0.45, 0.7]])
-        band = _constant_band("cdf", grid, center, boot, alpha=0.05,
-                              b_used=1, redraws=0)
+        kind = "two-sided-constant"
+        band = _band("cdf", grid, center, kind, _band_draws(kind, center, boot, None),
+                     alpha=0.05, b_used=1, redraws=0)
         assert band.critical_value == pytest.approx(0.2)
         assert np.all(band.half_width == band.critical_value)
 
@@ -417,8 +417,13 @@ class TestBands:
         rng = np.random.default_rng(3)
         noise = rng.normal(0, 0.4, size=(100, 1))
         boot = center[None, :] + noise          # same draw at every grid point
-        constant = _constant_band("quantile", grid, center, boot, 0.1, 100, 0)
-        variable = _variable_band("quantile", grid, center, boot, 0.1, 1.0, 100, 0)
+        constant = _band("quantile", grid, center, "two-sided-constant",
+                         _band_draws("two-sided-constant", center, boot, None),
+                         0.1, 100, 0)
+        variable = _band("quantile", grid, center, "two-sided-variable",
+                         _band_draws("two-sided-variable", center, boot,
+                                     np.sort(boot, axis=0), 1.0),
+                         0.1, 100, 0)
         assert np.allclose(variable.half_width, constant.half_width, rtol=1e-12)
 
     def test_studentizer_floor_warns_on_constant_sample(self):

@@ -56,28 +56,35 @@ def test_array_fields_stay_read_only_after_pickling(name, bench_small):
         assert np.array_equal(before, after), field
 
 
-
 BUILT_FROM_CALLER_ARRAYS = {
-    "Grid": lambda a, b: Grid("levels", a),
-    "Ecdf": lambda a, b: Ecdf(sorted_values=a, n=len(a)),
-    "BandResult": lambda a, b: BandResult(
+    "Grid": lambda a, b, c: Grid("levels", a),
+    "Ecdf": lambda a, b, c: Ecdf(sorted_values=a, n=len(a)),
+    "BandResult": lambda a, b, c: BandResult(
         target="cdf", grid=Grid("values", np.array([1.0, 2.0, 3.0])), center=a,
         half_width=b, kind="two-sided-constant", critical_value=0.05,
         b_used=10, redraws=0),
-    "Sample": lambda a, b: Sample(outcomes=a, treatments=[0, 1, 1],
-                                  instruments=[0, 1, 0], covariates=[0, 0, 1]),
+    "Sample": lambda a, b, c: Sample(outcomes=a, treatments=c,
+                                     instruments=[0, 1, 0], covariates=[0, 0, 1]),
 }
 
 
 @pytest.mark.parametrize("name", BUILT_FROM_CALLER_ARRAYS)
-def test_caller_arrays_stay_writeable(name):
-    # A holder freezes a view of each float64 array it is given: no copy,
-    # and the caller's own array stays writeable.
+def test_holders_copy_caller_arrays(name):
+    # A holder built from a caller's arrays freezes copies of them: the
+    # caller's arrays stay writeable, and writing to them afterwards leaves
+    # the holder (and whatever it checked or cached) as it was.
     a, b = np.array([0.1, 0.2, 0.3]), np.array([0.05, 0.05, 0.05])
-    holder = BUILT_FROM_CALLER_ARRAYS[name](a, b)
-    assert a.flags.writeable and b.flags.writeable
-    assert any(np.shares_memory(value, a) for value in vars(holder).values()
-               if isinstance(value, np.ndarray))
+    c = np.array([0, 1, 1], dtype=np.int8)
+    holder = BUILT_FROM_CALLER_ARRAYS[name](a, b, c)
+    held = {key: value.copy() for key, value in vars(holder).items()
+            if isinstance(value, np.ndarray)}
+    assert held
+    assert a.flags.writeable and b.flags.writeable and c.flags.writeable
+    a[:] = [np.nan, 0.9, 0.05]
+    b[:] = -1.0
+    c[:] = [1, 0, 0]
+    for key, value in held.items():
+        assert np.array_equal(getattr(holder, key), value), key
     for restored in (holder, pickle.loads(pickle.dumps(holder))):
         arrays = [value for value in vars(restored).values()
                   if isinstance(value, np.ndarray)]
