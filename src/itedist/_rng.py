@@ -7,8 +7,6 @@ reproducible, so results never depend on evaluation order or worker count.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 
@@ -27,10 +25,13 @@ def parallel_map(fn, items, threads: int = 1) -> list:
     """Map ``fn`` over ``items`` preserving order.
 
     With ``threads > 1`` the work runs on a thread pool; results are identical
-    to the serial path because every item owns its derived stream.
+    to the serial path because every item owns its derived stream.  The pool
+    module is imported only then.
     """
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

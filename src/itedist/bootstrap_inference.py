@@ -1,19 +1,22 @@
 """Nonparametric bootstrap engine and inference products.
 
-Only ``draw_replicates`` and ``two_group_quantile_replicates`` resample: they
-draw rows with replacement, recompute the leave-one-out pseudo treatment
-effects on each resample (holding the original outcome bounds fixed), and
-keep the sorted effects or per-level quantiles of every replication.  Each
-replication's resample comes from its own keyed stream and carries its
-parent's cell codes; its rows come in the parent's (cell, treatment,
-outcome) order, which the parent sorts once.  A chunk of accepted resamples
-is stacked into one sample whose cells are (replication, cell), the codes
-offset rather than sorted again, so one ``pseudo_ites`` call fits the whole
-chunk on rows already in the order it sorts them into, and each
-replication's effects are split back out before sorting.  A row's effect
-depends only on its cell, so neither the chunking nor the row order ever
-changes a result.  Every inference product is a pure function of one such
-replicate set and the level and grid it is asked for: it reads off
+Only ``draw_replicates`` and ``two_group_quantile_replicates`` resample:
+they draw rows with replacement, recompute the leave-one-out pseudo
+treatment effects on each resample (holding the original outcome bounds
+fixed), and keep the sorted effects or per-level quantiles of every
+replication.  Both work through chunks of consecutive replications, one
+chunk per group.  Each replication draws its resample with :func:`resample`
+from its own keyed stream: the parent's rows in their (cell, treatment,
+outcome) order, which the parent sorts once, each repeated as often as it
+was drawn, with the parent's cell codes.  A chunk stacks its draws into one
+sample whose cells are (replication, cell), the codes offset rather than
+sorted again, checks every margin with one ``bincount`` and redraws only the
+replications that fail.  One ``pseudo_ites`` call then fits the whole chunk
+on rows already in the order it sorts them into, and each replication's
+effects are sorted in place in its row of one replicate matrix.  A row's
+effect depends only on its cell, so neither the chunking nor the row order
+ever changes a result.  Every inference product is a pure function of one
+such replicate set and the level and grid it is asked for: it reads off
 percentile intervals or sup-statistic critical values from the replication
 order statistics.  A band's curves over its grid, their column-sorted copy,
 and each band kind's studentizers and sorted sup-statistic draws depend on
@@ -43,7 +46,7 @@ import numpy as np
 from ._frozen import FrozenArrays
 from ._rng import derive_stream, parallel_map
 from .counterfactual import pseudo_ites
-from .data_model import Bounds, Sample, min_instrument_margin, stack
+from .data_model import Bounds, Sample
 from .empirical_dist import Grid, cdf_at, iqr, order_statistics
 
 logger = logging.getLogger(__name__)
@@ -187,27 +190,11 @@ def resample(sample: Sample, rng: np.random.Generator) -> Sample:
 
     The drawn rows come in the parent's (cell, treatment, outcome) order:
     each row of :attr:`Sample.row_order` repeated as often as it was drawn.
+    Every bootstrap attempt draws its rows here.
     """
     counts = np.bincount(rng.integers(0, sample.n, size=sample.n), minlength=sample.n)
     order = sample.row_order
     return sample.take(np.repeat(order, counts[order]))
-
-
-def _draw_estimable_resample(sample: Sample, cfg: BootstrapConfig, r: int,
-                             group: int) -> tuple[Sample, int]:
-    """Resample for replication ``r``, redrawing while any cell margin < 2."""
-    for attempt in range(cfg.max_redraws + 1):
-        rng = derive_stream(cfg.seed, r, group, attempt)
-        draw = resample(sample, rng)
-        if min_instrument_margin(draw) >= 2:
-            if attempt:
-                logger.info("replication %d (group %d): %d redraw(s)", r, group, attempt)
-            return draw, attempt
-    raise ReplicationError(
-        f"replication {r} (group {group}) still degenerate after "
-        f"{cfg.max_redraws} redraw(s): some cell keeps an instrument arm "
-        f"with fewer than 2 rows",
-        replication=r, attempts=cfg.max_redraws + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,41 +224,74 @@ def _chunks(n_replications: int, *sizes: int) -> list[range]:
             for lo in range(0, n_replications, per)]
 
 
-def _fit_stacked(drawn: list[tuple[Sample, int]], bounds: Bounds,
-                 chunk: range) -> tuple[np.ndarray, int]:
-    """Sorted pseudo-ITEs of the resamples of replications ``chunk``, and
-    their redraws; ``drawn`` holds each resample with its redraw count.
+def _fit_chunk(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, chunk: range,
+               group: int, out: np.ndarray) -> int:
+    """Sorted pseudo-ITEs of the replications ``chunk``, written into the rows
+    of ``out``; returns their redraws.
 
-    The resamples are stacked into one sample whose cells are (replication,
-    cell), their codes offset by the cells of the resamples before them, so
-    one :func:`pseudo_ites` call fits every replication against the original
-    bounds of its cell.
+    Replication ``r`` resamples from the stream keyed (seed, r, group,
+    attempt).  The draws are stacked into one sample whose cells are
+    (replication, cell), each resample's codes offset by the cells of the
+    resamples before it.  One ``bincount`` over the stacked (cell,
+    instrument) codes checks every margin, and only the replications left
+    with an instrument arm below 2 rows in a cell they hold draw again, with
+    the next attempt.  One :func:`pseudo_ites` call then fits every
+    replication against the original bounds of its cells.
     """
-    draws = [draw for draw, _ in drawn]
-    n = draws[0].n
-    stacked = stack(draws, chunk)
+    draws = [resample(sample, derive_stream(cfg.seed, r, group, 0)) for r in chunk]
+    attempts = [0] * len(chunk)
+    while True:
+        offsets = np.cumsum([0] + [len(draw.cell_table) for draw in draws])
+        # every resample holds n rows
+        codes = (np.concatenate([draw.cell_codes for draw in draws])
+                 + np.repeat(offsets[:-1], sample.n))
+        z = np.concatenate([draw.instruments for draw in draws])
+        margins = np.bincount(2 * codes + z, minlength=2 * offsets[-1])
+        short = np.flatnonzero(np.minimum.reduceat(margins, 2 * offsets[:-1]) < 2)
+        if not len(short):
+            break
+        # Every short replication has failed each attempt so far, so all of
+        # them run out together and the first one is reported.
+        for i in short.tolist():
+            if attempts[i] == cfg.max_redraws:
+                raise ReplicationError(
+                    f"replication {chunk[i]} (group {group}) still degenerate after "
+                    f"{cfg.max_redraws} redraw(s): some cell keeps an instrument arm "
+                    f"with fewer than 2 rows",
+                    replication=chunk[i], attempts=cfg.max_redraws + 1)
+            attempts[i] += 1
+            draws[i] = resample(sample, derive_stream(cfg.seed, chunk[i], group,
+                                                      attempts[i]))
+    for r, redraws in zip(chunk, attempts):
+        if redraws:
+            logger.info("replication %d (group %d): %d redraw(s)", r, group, redraws)
+    stacked = Sample._coded(
+        np.concatenate([draw.outcomes for draw in draws]),
+        np.concatenate([draw.treatments for draw in draws]), z, codes,
+        tuple((r, *cell) for r, draw in zip(chunk, draws) for cell in draw.cell_table),
+        margins.reshape(-1, 2).sum(axis=1))
     stacked_bounds = Bounds({(d, (r, *cell)): support
                              for r in chunk
                              for (d, cell), support in bounds.by_group.items()})
-    values = pseudo_ites(stacked, stacked_bounds).values
-    return (np.sort(values.reshape(len(chunk), n), axis=1),
-            sum(redraws for _, redraws in drawn))
+    out[...] = pseudo_ites(stacked, stacked_bounds).values.reshape(out.shape)
+    out.sort(axis=1)
+    return sum(attempts)
 
 
 def draw_replicates(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
                     group: int = 0, threads: int = 1) -> BootstrapReplicates:
     """Run all replications once; every product can be read off the result."""
     point = pseudo_ites(sample.take(sample.row_order), bounds)
+    sorted_values = np.empty((cfg.n_replications, sample.n))
 
-    def one(chunk: range) -> tuple[np.ndarray, int]:
-        return _fit_stacked([_draw_estimable_resample(sample, cfg, r, group)
-                             for r in chunk], bounds, chunk)
+    def one(chunk: range) -> int:
+        return _fit_chunk(sample, bounds, cfg, chunk, group,
+                          sorted_values[chunk.start:chunk.stop])
 
-    results = parallel_map(one, _chunks(cfg.n_replications, sample.n), threads)
-    return BootstrapReplicates(
-        sorted_values=np.vstack([rows for rows, _ in results]),
-        point_sorted=np.sort(point.values),
-        redraws=sum(redraws for _, redraws in results))
+    redraws = parallel_map(one, _chunks(cfg.n_replications, sample.n), threads)
+    return BootstrapReplicates(sorted_values=sorted_values,
+                               point_sorted=np.sort(point.values),
+                               redraws=sum(redraws))
 
 
 # ---------------------------------------------------------------------------
@@ -552,25 +572,28 @@ def two_group_quantile_replicates(sample0: Sample, sample1: Sample,
     point0 = np.sort(pseudo_ites(sample0.take(sample0.row_order), bounds0).values)
     point1 = np.sort(pseudo_ites(sample1.take(sample1.row_order), bounds1).values)
 
-    def one(chunk: range):
-        drawn = [(_draw_estimable_resample(sample0, cfg, r, 0),
-                  _draw_estimable_resample(sample1, cfg, r, 0 if couple_streams else 1))
-                 for r in chunk]
-        sorted0, att0 = _fit_stacked([pair[0] for pair in drawn], bounds0, chunk)
-        sorted1, att1 = _fit_stacked([pair[1] for pair in drawn], bounds1, chunk)
-        return (order_statistics(sorted0, levels), order_statistics(sorted1, levels),
-                att0, att1)
+    boot0 = np.empty((cfg.n_replications, len(levels)))
+    boot1 = np.empty((cfg.n_replications, len(levels)))
 
-    results = parallel_map(one, _chunks(cfg.n_replications, sample0.n, sample1.n),
+    def one(chunk: range) -> tuple[int, int]:
+        redraws = []
+        for sample, bounds, group, boot in (
+                (sample0, bounds0, 0, boot0),
+                (sample1, bounds1, 0 if couple_streams else 1, boot1)):
+            fitted = np.empty((len(chunk), sample.n))
+            redraws.append(_fit_chunk(sample, bounds, cfg, chunk, group, fitted))
+            boot[chunk.start:chunk.stop] = order_statistics(fitted, levels)
+        return tuple(redraws)
+
+    redraws = parallel_map(one, _chunks(cfg.n_replications, sample0.n, sample1.n),
                            threads)
     return TwoGroupReplicates(
         levels=levels,
         estimate0=order_statistics(point0, levels),
         estimate1=order_statistics(point1, levels),
-        boot0=np.vstack([r[0] for r in results]),
-        boot1=np.vstack([r[1] for r in results]),
+        boot0=boot0, boot1=boot1,
         iqr0=iqr(point0), iqr1=iqr(point1),
-        redraws=(sum(r[2] for r in results), sum(r[3] for r in results)),
+        redraws=(sum(r[0] for r in redraws), sum(r[1] for r in redraws)),
         shift=float(ite_shift))
 
 

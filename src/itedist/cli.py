@@ -458,6 +458,9 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
     if resolved["study"] == "figure2":
         if len(resolved["tau"]) != 1:
             raise ConfigError(f"--tau: figure2 needs exactly one level, got {resolved['tau']}")
+        if resolved["reps"] < 30:
+            raise ConfigError(f"--reps: figure2 needs at least 30 replications for a "
+                              f"meaningful histogram, got {resolved['reps']}")
         diag = gaussian_diagnostic(resolved["tau"][0], resolved["n"],
                                    resolved["reps"], resolved["seed"],
                                    threads=threads)

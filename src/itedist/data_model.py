@@ -5,12 +5,13 @@ instrument, integer-coded covariates).  All estimation downstream is local to
 a covariate cell, i.e. the subsample sharing one covariate value.  The cells
 are factorized once, when a sample is built from raw covariates: each row
 carries an integer cell code, its cell's position in a table of the distinct
-covariate values in ascending order.  A subsample or resample (``take``) and
-a stack of resamples (``stack``) carry the codes over and compact the table,
-so they never sort covariates again.  The covariate matrix, the index from
-each covariate value to its row positions and the rows' (cell, treatment,
-outcome) order are derived when first asked for.  Samples are immutable
-after construction and safe to share across workers.
+covariate values in ascending order.  A subsample or resample (``take``)
+carries the codes over and compacts the table, so it never sorts covariates
+again; the bootstrap stacks resamples by offsetting their codes.  The
+covariate matrix, the index from each covariate value to its row positions
+and the rows' (cell, treatment, outcome) order are derived when first asked
+for.  Samples are immutable after construction and safe to share across
+workers.
 """
 from __future__ import annotations
 
@@ -162,29 +163,13 @@ class Sample:
         codes = self.cell_codes[idx]
         sizes = np.bincount(codes, minlength=len(self.cell_table))
         table = self.cell_table
-        present = sizes > 0
-        if not present.all():
+        if np.count_nonzero(sizes) < len(table):
+            present = sizes > 0
             codes = (np.cumsum(present) - 1)[codes]
             table = tuple(itertools.compress(table, present.tolist()))
             sizes = sizes[present]
         return Sample._coded(self.outcomes[idx], self.treatments[idx],
                              self.instruments[idx], codes, table, sizes)
-
-
-def stack(samples: Sequence[Sample], labels: Sequence[int]) -> Sample:
-    """The samples' rows one after another, each cell keyed by its sample's label.
-
-    A cell ``x`` of the sample labelled ``r`` becomes the cell ``(r, *x)`` of
-    the result, so with ascending labels the table stays in ascending order.
-    """
-    offsets = np.cumsum([0] + [len(s.cell_table) for s in samples[:-1]])
-    return Sample._coded(
-        np.concatenate([s.outcomes for s in samples]),
-        np.concatenate([s.treatments for s in samples]),
-        np.concatenate([s.instruments for s in samples]),
-        np.concatenate([s.cell_codes + offset for s, offset in zip(samples, offsets)]),
-        tuple((r, *cell) for r, s in zip(labels, samples) for cell in s.cell_table),
-        np.concatenate([s.cell_sizes for s in samples]))
 
 
 def _indicator(values, name: str) -> np.ndarray:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from itedist import (BootstrapConfig, GroupSelector, NORMAL_QUARTILE_SPREAD,
                      ucb_quantile_variable, ucb_quantile_difference)
 from itedist import test_distributions as distribution_test
 from itedist._rng import derive_stream
-from itedist.bootstrap_inference import _band, _band_draws, _draw_estimable_resample
+from itedist.bootstrap_inference import _band, _band_draws, _fit_chunk
 from itedist.empirical_dist import Grid
 
 
@@ -30,6 +31,14 @@ def tiny_margin_sample(n_per_arm=2):
     d = np.tile([0, 1], n_per_arm)
     return Sample(outcomes=y, treatments=d, instruments=z,
                   covariates=np.zeros((2 * n_per_arm, 0), dtype=int))
+
+
+def recording_stream_keys(keys: list):
+    """Patch the bootstrap's ``derive_stream`` to append every key to ``keys``."""
+    def keyed(*key):
+        keys.append(key)
+        return derive_stream(*key)
+    return mock.patch.object(bootstrap_inference, "derive_stream", keyed)
 
 
 def constant_outcome_sample(n=12, value=5.0):
@@ -138,17 +147,21 @@ class TestBootstrapPseudoItes:
         assert np.array_equal(base.values, again.values)
 
     def test_deterministic_per_replication(self, bench_small):
-        # replication r's resample depends on (seed, r, group) alone, and the
-        # replicate set holds its fit in row r
+        # replication r's fit depends on (seed, r, group) alone, not on the
+        # chunk it is fitted in, and the replicate set holds it in row r
         gen, bounds = bench_small
         cfg = BootstrapConfig(n_replications=5, seed=3)
-        a, _ = _draw_estimable_resample(gen.sample, cfg, 2, 0)
-        b, _ = _draw_estimable_resample(gen.sample, cfg, 2, 0)
-        assert np.array_equal(a.outcomes, b.outcomes)
-        other, _ = _draw_estimable_resample(gen.sample, cfg, 2, 1)
-        assert not np.array_equal(a.outcomes, other.outcomes)
+
+        def alone(r, group):
+            out = np.empty((1, gen.sample.n))
+            _fit_chunk(gen.sample, bounds, cfg, range(r, r + 1), group, out)
+            return out[0]
+
+        a, b, other = alone(2, 0), alone(2, 0), alone(2, 1)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, other)
         reps = draw_replicates(gen.sample, bounds, cfg)
-        assert np.array_equal(reps.sorted_values[2], np.sort(pseudo_ites(a, bounds).values))
+        assert np.array_equal(reps.sorted_values[2], a)
 
     def test_degenerate_with_no_redraws_errors(self):
         s = tiny_margin_sample(2)   # margins (2, 2): most resamples degenerate
@@ -157,7 +170,7 @@ class TestBootstrapPseudoItes:
         failures = successes = 0
         for r in range(20):
             try:
-                _draw_estimable_resample(s, cfg, r, 0)
+                _fit_chunk(s, bounds, cfg, range(r, r + 1), 0, np.empty((1, s.n)))
                 successes += 1
             except ReplicationError as err:
                 assert err.attempts == 1 and err.replication == r
@@ -165,6 +178,23 @@ class TestBootstrapPseudoItes:
         assert failures > 0 and successes > 0
         with pytest.raises(ReplicationError):
             draw_replicates(s, bounds, cfg)
+
+    @pytest.mark.parametrize("max_redraws", [0, 1, 2])
+    def test_error_names_the_first_exhausted_replication(self, max_redraws):
+        # A replication runs out when every attempt up to max_redraws leaves a
+        # margin below 2; in one chunk of all of them the first such one is
+        # reported, whatever the others do.
+        s = tiny_margin_sample(2)
+        bounds = estimate_bounds(s)
+        cfg = BootstrapConfig(n_replications=20, seed=0, max_redraws=max_redraws)
+        exhausted = [r for r in range(20)
+                     if all(min_instrument_margin(resample(s, derive_stream(0, r, 0, a))) < 2
+                            for a in range(max_redraws + 1))]
+        assert len(exhausted) > 1
+        with pytest.raises(ReplicationError) as err:
+            draw_replicates(s, bounds, cfg)
+        assert err.value.replication == exhausted[0]
+        assert err.value.attempts == max_redraws + 1
 
     def test_redraws_recover_and_are_counted(self):
         s = tiny_margin_sample(2)
@@ -226,29 +256,43 @@ class TestChunkedReplicates:
 
     def test_resample_missing_a_cell_fits_the_present_cells(self):
         # Cell -2 holds 4 of 20 rows; replication 3 of seed 0 draws none of
-        # them.  The margin check counts only the cells a resample holds, so
-        # the draw is kept as it is and its fit covers cell -1 alone.
+        # them.  The chunk's margin check counts only the cells a resample
+        # holds, so the draw is kept as it is and its fit covers cell -1 alone.
         sample = Sample(outcomes=[*map(float, range(1, 17)), 1.5, 2.5, 3.5, 4.5],
                         treatments=[0, 1, 1, 0] * 5, instruments=[0, 1, 0, 1] * 5,
                         covariates=[[-1]] * 16 + [[-2]] * 4)
         bounds = estimate_bounds(sample)
         cfg = BootstrapConfig(n_replications=5, seed=0, max_redraws=1000)
-        draw, redraws = _draw_estimable_resample(sample, cfg, 3, 0)
-        assert redraws == 0
+        draw = resample(sample, derive_stream(0, 3, 0, 0))
         assert draw.cells == [(-1,)] and draw.cell_sizes.tolist() == [20]
         assert min_instrument_margin(draw) >= 2
-        fitted = []
+        fitted, keys = [], []
 
         def recording(stacked, stacked_bounds):
             fitted.append(stacked)
             return pseudo_ites(stacked, stacked_bounds)
 
-        with mock.patch.object(bootstrap_inference, "pseudo_ites", recording):
+        with mock.patch.object(bootstrap_inference, "pseudo_ites", recording), \
+                recording_stream_keys(keys):
             reps = draw_replicates(sample, bounds, cfg)
+        assert [key for key in keys if key[1] == 3] == [(0, 3, 0, 0)]
         (stacked,) = fitted[1:]   # the point fit, then one stacked chunk
         assert (3, -1) in stacked.cell_table and (3, -2) not in stacked.cell_table
         assert all(size > 0 for size in stacked.cell_sizes)
         assert np.array_equal(reps.sorted_values[3], np.sort(pseudo_ites(draw, bounds).values))
+
+    def test_only_the_failing_replication_redraws(self):
+        # Replications 0 to 7 of seed 7 draw in one chunk, and only
+        # replication 1 leaves a margin below 2, on its first attempt alone:
+        # it draws again with the next attempt key, and no other does.
+        s = tiny_margin_sample(4)
+        bounds = estimate_bounds(s)
+        cfg = BootstrapConfig(n_replications=8, seed=7, max_redraws=10)
+        keys = []
+        with recording_stream_keys(keys):
+            reps = draw_replicates(s, bounds, cfg)
+        assert Counter(keys) == Counter([(7, r, 0, 0) for r in range(8)] + [(7, 1, 0, 1)])
+        assert reps.redraws == 1
 
 
 def _rows(sample):

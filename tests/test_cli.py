@@ -326,6 +326,16 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "--tau" in err["message"]
 
+    def test_figure2_needs_thirty_reps(self, tmp_path, capsys, monkeypatch):
+        import itedist.benchmark_sim
+        monkeypatch.setattr(itedist.benchmark_sim, "gaussian_diagnostic", _unreachable)
+        code = run_cli("simulate", "figure2", "--n", "120", "--reps", "20",
+                       "--output", str(tmp_path / "x.csv"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["message"].startswith("--reps: ")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_band_flag_rejected(self, tmp_path, capsys):
         # table2 and table4 always score both band kinds
         with pytest.raises(SystemExit) as exit_:
@@ -505,6 +515,13 @@ def test_commands_leave_scipy_unloaded(bench_csv, split_csv, tmp_path):
     for argv in runs:
         result = _run_without(("scipy", "numpy.ma"), argv)
         assert result.returncode == 0, result.stderr
+
+
+def test_single_thread_run_leaves_thread_pool_unloaded(bench_csv, tmp_path):
+    # the thread pool module is imported only when a command asks for threads
+    argv = [*_report_argv("analyze", bench_csv, None, tmp_path), "--threads", "1"]
+    result = _run_without(("concurrent.futures",), argv)
+    assert result.returncode == 0, result.stderr
 
 
 def test_simulate_leaves_jsonschema_unloaded(tmp_path):

@@ -194,9 +194,8 @@ class TestCellCodes:
     def test_factorized_only_from_raw_covariates(self, two_cell_sample):
         with mock.patch.object(data_model, "_factorize",
                                wraps=data_model._factorize) as factorize:
-            taken = two_cell_sample.take([5, 0, 3])
+            two_cell_sample.take([5, 0, 3])
             select_group(two_cell_sample, GroupSelector(atoms=((0, "=", 1),)))
-            data_model.stack([taken, taken], [0, 1])
             assert factorize.call_count == 0
             Sample(outcomes=[1.0], treatments=[0], instruments=[1], covariates=[[4]])
             assert factorize.call_count == 1
