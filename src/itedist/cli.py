@@ -32,10 +32,16 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 import time
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+# No command does linear algebra, so numpy's OpenBLAS needs no worker threads.
+# OpenBLAS reads this once, when numpy loads, so it is set before any import
+# below loads numpy; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -189,6 +195,10 @@ _COMMANDS = {
 def _coerce(key: str, value):
     """Coerce a flag or config-file value and hold it to the flag's rule."""
     coerce, rule, _ = _FLAGS[key]
+    # int() and float() would read a JSON boolean as 0 or 1
+    items = value if isinstance(value, list) else [value]
+    if any(isinstance(item, bool) for item in items):
+        raise ConfigError(f"--{key}: cannot use {value!r}: no flag takes a boolean")
     try:
         coerced = coerce(value)
     except (TypeError, ValueError) as exc:

@@ -468,6 +468,29 @@ def test_bad_value_is_one_config_error_from_flag_or_file(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("analyze", "seed", True), ("analyze", "v", [True, False]),
+    ("analyze", "max-redraws", True), ("analyze", "alpha", False),
+    ("table2", "v-range", [False, True]), ("oracle", "y", [True])])
+def test_boolean_config_value_is_config_error(command, key, value, bench_csv, tmp_path,
+                                              capsys, monkeypatch):
+    # int() and float() would read a JSON boolean as 0 or 1
+    import itedist.benchmark_sim
+    import itedist.cli
+    monkeypatch.setattr(itedist.cli, "ingest_csv", _unreachable)
+    monkeypatch.setattr(itedist.benchmark_sim, "run_coverage", _unreachable)
+    prefix = {"analyze": ["analyze", "--input", str(bench_csv)],
+              "oracle": ["oracle", "--tau", "0.5"]}.get(command, ["simulate", command])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    assert run_cli(*prefix, "--config", str(cfg_path),
+                   "--output", str(tmp_path / "out")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["message"].startswith(f"--{key}: ")
+    assert "boolean" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, key", [
     ("table1", "reps"), ("figure2", "tau"), ("analyze", "report"), ("oracle", "tau")])
 def test_null_config_value_is_config_error(command, key, bench_csv, tmp_path, capsys,
@@ -490,19 +513,75 @@ def test_null_config_value_is_config_error(command, key, bench_csv, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
-def _run_without(modules: tuple[str, ...], argv: list[str]) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter that exits nonzero if importing
-    ``itedist.cli`` or running the command loads any of ``modules``."""
+def _run_fresh(script: str, argv: list[str], openblas_threads: str | None = None
+               ) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this itedist.
+
+    ``OPENBLAS_NUM_THREADS`` is ``openblas_threads`` there, or unset: this
+    process holds the CLI's own value once any test imports ``itedist.cli``.
+    """
     import itedist
-    loaded = f"[m for m in {modules!r} if m in sys.modules]"
-    script = ("import sys; from itedist.cli import main; "
-              f"assert not {loaded}, {loaded}; code = main(sys.argv[1:]); "
-              f"assert not {loaded}, (sys.argv[1], {loaded}); sys.exit(code)")
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(itedist.__file__).parent.parent), env.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, "-c", script, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def _run_without(modules: tuple[str, ...], argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter that exits nonzero if importing
+    ``itedist.cli`` or running the command loads any of ``modules``."""
+    loaded = f"[m for m in {modules!r} if m in sys.modules]"
+    return _run_fresh("import sys; from itedist.cli import main; "
+                      f"assert not {loaded}, {loaded}; code = main(sys.argv[1:]); "
+                      f"assert not {loaded}, (sys.argv[1], {loaded}); sys.exit(code)",
+                      argv)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_runs_openblas_with_one_thread_unless_user_set(preset, expected, bench_csv,
+                                                           tmp_path):
+    # numpy's OpenBLAS starts a worker per core as it loads unless capped first,
+    # and no command calls BLAS; a value the user set wins
+    argv = [*_report_argv("analyze", bench_csv, None, tmp_path), "--threads", "1"]
+    result = _run_fresh("import os, sys; from itedist.cli import main; "
+                        "assert main(sys.argv[1:]) == 0; "
+                        "print(os.environ['OPENBLAS_NUM_THREADS'], "
+                        "len(os.listdir('/proc/self/task')) "
+                        "if os.path.isdir('/proc/self/task') else 0)",
+                        argv, openblas_threads=preset)
+    assert result.returncode == 0, result.stderr
+    value, threads = result.stdout.split()
+    assert value == expected
+    if preset is None and sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1:
+        assert threads == "1"
+
+
+def test_package_import_loads_no_submodule_or_numpy():
+    # itedist.cli must be able to cap OpenBLAS before anything loads numpy
+    result = _run_fresh("import sys, itedist; print(sorted(m for m in sys.modules "
+                        "if m == 'numpy' or m.startswith(('numpy.', 'itedist.'))))", [])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_package_names_are_their_submodules_objects():
+    import importlib
+    import itedist
+    star = {}
+    exec("from itedist import *", star)
+    for name in itedist.__all__[1:]:
+        home = importlib.import_module(f"itedist.{itedist._HOME[name]}")
+        assert getattr(itedist, name) is home.__dict__[name] is star[name], name
+    assert star["__version__"] == itedist.__version__
+    assert set(itedist.__all__) <= set(dir(itedist))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        itedist.no_such_name
+    from itedist import benchmark_sim, cli
+    assert (cli.__name__, benchmark_sim.__name__) == ("itedist.cli", "itedist.benchmark_sim")
 
 
 def test_commands_leave_scipy_unloaded(bench_csv, split_csv, tmp_path):
