@@ -112,7 +112,7 @@ class _Interval(NamedTuple):
 
     def __str__(self) -> str:
         if self.hi == math.inf:
-            return f">= {self.lo:g}"
+            return "finite" if self.lo == -math.inf else f">= {self.lo:g}"
         ends = "[]" if self.closed else "()"
         return f"in {ends[0]}{self.lo:g}, {self.hi:g}{ends[1]}"
 
@@ -128,6 +128,7 @@ def _describe(rule) -> str:
 
 
 _UNIT = _Interval(0.0, 1.0, closed=False)
+_FINITE = _Interval(-math.inf, math.inf, closed=False)
 _STUDIES = ("table1", "table2", "table3", "table4", "figure1", "figure2")
 
 _FLAGS = {
@@ -144,11 +145,11 @@ _FLAGS = {
     "bootstrap": _Flag(_coerce_int, _Interval(2), "bootstrap replications"),
     "seed": _Flag(_coerce_int, _Interval(0), "random seed"),
     "tau": _Flag(_coerce_float_list, _UNIT, "quantile levels, comma separated"),
-    "v": _Flag(_coerce_float_list, None, "CDF evaluation points, comma separated"),
+    "v": _Flag(_coerce_float_list, _FINITE, "CDF evaluation points, comma separated"),
     "y": _Flag(_coerce_float_list, _Interval(1.0, 4.0),
                "outcomes to map between treatment states, comma separated"),
     "tau-range": _Flag(_coerce_range, _UNIT, "lo,hi of the quantile-level grid"),
-    "v-range": _Flag(_coerce_range, None, "lo,hi of the value grid"),
+    "v-range": _Flag(_coerce_range, _FINITE, "lo,hi of the value grid"),
     "grid-size": _Flag(_coerce_int, _Interval(2), "grid points"),
     "band": _Flag(str, ("constant", "variable"), "uniform band kind"),
     "report": _Flag(_coerce_str_list, ("prob-positive", "quantile", "iqr", "cdf", "bands"),

@@ -57,10 +57,11 @@ spans one segment, so its slope is that segment's integer slope, exact in
 float below ``2**53``; a query whose ``-K`` ties it is settled by the float
 bracket alone.  Every other float hull and slope test carries an error bound
 built from the magnitudes of the terms its problem's ``F`` sums (``sum
-|slope_j| * width_j``), which holds for any order in which a problem's own
-terms are summed; a test that bound cannot settle is decided in integer
-arithmetic over one power-of-two denominator (floats are dyadic rationals),
-built once per problem and O(1) per test.  Flat segments and exact ties
+|slope_j| * width_j``) and the depth of the doubling scan that sums them,
+``ceil(log2 m)``.  A test that bound cannot settle is decided in integer
+arithmetic over the candidates its edges span, scaled by their smallest
+power of two (floats are dyadic rationals), so exact work grows with the
+doubtful windows, not with the problem.  Flat segments and exact ties
 therefore always resolve to their leftmost point.
 :func:`minimize_objective` calls the same kernel with one problem and one
 query.
@@ -264,6 +265,16 @@ def _segmented_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     and Steele's doubling scan over contiguous slices: each sum adds only
     terms of its own segment (across a segment start it adds an exact zero),
     so its rounding error is bounded by those terms alone.
+
+    Element ``e`` takes one rounded addition at each step ``1, 2, 4, ...`` up
+    to its distance from its segment start, and so does every partial sum it
+    adds, so it is a tree sum of depth at most ``D = ceil(log2 m)`` over a
+    segment of ``m`` elements: each term passes through at most ``D``
+    roundings, and the sum is off by at most ``gamma_D * sum |value|``, with
+    ``gamma_D = D u / (1 - D u)`` and ``u = 2**-53`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 4.2).  Additions
+    raise no underflow error, since a sum of floats that is subnormal is
+    exact.
     """
     out = values.copy()
     reach = np.arange(len(out)) - first
@@ -274,21 +285,20 @@ def _segmented_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dyadic_prefix(cands: np.ndarray, slopes: np.ndarray, pts) -> tuple[list, list]:
-    """Candidates and ``F - F(c_0)`` at ``pts``, as integers over one denominator.
+def _exact_edge(x, slope, i, j):
+    """``x[j] - x[i]`` and ``G(x[j]) - G(x[i])`` as integers over one power of two.
 
     Every float is an integer times a power of two, so scaling by the smallest
-    power present makes all candidates integers; ``F`` rises by ``slope *
-    width`` on each segment, so its prefix differences are integers too.
+    power among the candidates ``x[i..j]`` makes each of them an integer;
+    ``G`` rises by ``slope * width`` on each segment between them, so its
+    difference is an integer too.  Both share the scale, a positive factor
+    that no ratio or sign of the two depends on.
     """
-    mant, expo = np.frexp(cands)
-    nums = (mant * 2.0 ** 53).astype(np.int64).tolist()
-    shifts = (expo - expo.min()).tolist()
-    xs = [num << shift for num, shift in zip(nums, shifts)]
-    rises = [0]
-    for slope, left, right in zip(slopes.tolist(), xs, xs[1:]):
-        rises.append(rises[-1] + slope * (right - left))
-    return [xs[p] for p in pts], [rises[p] for p in pts]
+    mant, expo = np.frexp(x[i:j + 1])
+    xs = [num << shift for num, shift in zip((mant * 2.0 ** 53).astype(np.int64).tolist(),
+                                             (expo - expo.min()).tolist())]
+    rise = sum(s * (b - a) for s, a, b in zip(slope[i:j].tolist(), xs, xs[1:]))
+    return xs[-1] - xs[0], rise
 
 
 def _edge_slope(x, g, err, a, b, at, unit):
@@ -348,6 +358,28 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
     ``p_n_match[p]``/``p_n_other[p]``; query ``q`` asks problem
     ``q_problem[q]`` with the integer coefficient ``k[q]`` (see the module
     docstring).
+
+    Error bound.  ``G`` at candidate ``j`` of a problem with ``m``
+    candidates is the scan sum of the rises ``r_i = fl(fl(s_{i-1}) * fl(x_i
+    - x_{i-1}))`` up to ``j``.  Each rise takes three roundings, of the
+    integer slope to a float (exact below ``2**53``), of the width and of the
+    product, and an absolute underflow error of at most ``eta = 2**-1075`` in
+    the product, so it is off its exact value ``t_i`` by at most ``gamma_3 *
+    |t_i| + eta``.  The scan adds at most ``D = ceil(log2 m)`` roundings (see
+    :func:`_segmented_cumsum`).  With ``A = sum |r_i|`` over the problem,
+    ``G`` is therefore off by at most::
+
+        gamma_D * A + gamma_3 / (1 - gamma_3) * (A + m * eta) + m * eta
+            <= (D + 3) * u * A * (1 + 2**-45) + 2 * m * eta
+
+    for ``D <= 64``.  The kernel uses ``err = (2 u A' + _TINY) * (D + 3)``,
+    where ``A'``, the float sum of the ``|r_i|``, is at least ``A * (1 -
+    gamma_{m-1})``: the factor 2 covers ``1 + 2**-45`` and the roundings of
+    ``A'`` and of ``err`` itself for any ``m`` below ``2**51``, and ``_TINY``
+    covers ``2 * m * eta`` for any ``m`` below ``10**23``.  A rise or ``A'``
+    that overflows makes ``err`` infinite, and so does a problem whose range
+    overflows.  Any float test this bound cannot settle goes to
+    :func:`_exact_edge`, over the candidates its edges span.
     """
     # Candidates: the distinct in-bounds values of each group.
     cand = np.flatnonzero(_run_ends(group, y) & (y >= lo[group]) & (y <= hi[group]))
@@ -367,8 +399,11 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
     inner = np.flatnonzero(local > 0)
     step_up[inner] = slope[inner - 1] * (x_all[inner] - x_all[inner - 1])
     g_all = _segmented_cumsum(step_up, start[prob])
-    # Any summation order of a problem's rises is off by at most ``err``.
-    err = (2.0 * _UNIT * np.add.reduceat(np.abs(step_up), start) + _TINY) * (m + 1)
+    # Each G is off by at most ``err`` (see the docstring): three roundings
+    # per rise, one per level of the problem's scan, whose depth is
+    # ceil(log2 m), the bit length of m - 1, and underflow slack.
+    depth = np.frexp(m - 1)[1]
+    err = (2.0 * _UNIT * np.add.reduceat(np.abs(step_up), start) + _TINY) * (depth + 3)
     err[~np.isfinite(x_all[start + m - 1] - x_all[start])] = np.inf
 
     # Only candidates where the slope strictly rises can be hull vertices:
@@ -381,16 +416,6 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
     perr = err[pp]
     # The integer slope right of each point, where a float holds it exactly.
     unit = np.where(np.abs(slope[pts]) < 2 ** 53, slope[pts], np.inf)
-    pt_first = np.searchsorted(pp, np.arange(len(m) + 1))
-
-    exact: dict[int, tuple[list, list]] = {}   # built at a problem's first doubtful test
-
-    def exact_points(p):
-        if p not in exact:
-            lo_e, hi_e = start[p], start[p] + m[p]
-            exact[p] = _dyadic_prefix(x_all[lo_e:hi_e], slope[lo_e:hi_e - 1],
-                                      pts[pt_first[p]:pt_first[p + 1]] - lo_e)
-        return exact[p]
 
     # The chain, as links to each point's neighbours, and the slope and its
     # error bound of the edge from each point to its successor; a problem's
@@ -418,10 +443,10 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
         s2, e2 = edge_s[work], edge_e[work]
         drop = ~(s1 + e1 < s2 - e2)
         for t in np.flatnonzero(drop & ~(s1 - e1 > s2 + e2)).tolist():
-            p = int(pp[work[t]])
-            cx, cg = exact_points(p)
-            a, b, c = (int(v - pt_first[p]) for v in (left[t], work[t], right[t]))
-            drop[t] = not (cg[b] - cg[a]) * (cx[c] - cx[b]) < (cg[c] - cg[b]) * (cx[b] - cx[a])
+            a, b, c = pts[left[t]], pts[work[t]], pts[right[t]]
+            dx1, dg1 = _exact_edge(x_all, slope, a, b)
+            dx2, dg2 = _exact_edge(x_all, slope, b, c)
+            drop[t] = not dg1 * dx2 < dg2 * dx1
         gone = work[drop]
         if not len(gone):
             break
@@ -447,27 +472,21 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
     s, e = edge_s[hull], edge_e[hull]
     lower = np.maximum.accumulate(_keyed(hp, np.fmax(s - e, -np.inf)))
     upper = np.minimum.accumulate(_keyed(hp, np.fmin(s + e, np.inf))[::-1])[::-1]
-    hull_first = np.searchsorted(hp, np.arange(len(m) + 1))
     queries = _keyed(q_problem, -np.asarray(k, dtype=np.float64))
     at = np.searchsorted(upper, queries, side="left")
     doubt = np.flatnonzero(lower.imag[at] < queries.imag)
     stop = np.searchsorted(lower, queries[doubt], side="left")
-    verts: dict[int, list] = {}
+    vert = pts[hull]
     for q, b in zip(doubt.tolist(), stop.tolist()):
-        p = int(q_problem[q])
-        cx, cg = exact_points(p)
-        first = int(hull_first[p])
-        if p not in verts:
-            verts[p] = (hull[first:hull_first[p + 1]] - pt_first[p]).tolist()
-        kq, a, b = int(k[q]), int(at[q]) - first, b - first
+        kq, a = int(k[q]), int(at[q])
         while a < b:
             mid = (a + b) // 2
-            u, v = verts[p][mid], verts[p][mid + 1]
-            if cg[v] - cg[u] + kq * (cx[v] - cx[u]) < 0:
+            dx, dg = _exact_edge(x_all, slope, vert[mid], vert[mid + 1])
+            if dg + kq * dx < 0:
                 a = mid + 1
             else:
                 b = mid
-        at[q] = first + a
+        at[q] = a
     return x[hull[at]]
 
 

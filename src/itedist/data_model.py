@@ -146,9 +146,6 @@ class Sample:
         order.setflags(write=False)
         return order
 
-    def cell_rows(self, cell: Cell) -> np.ndarray:
-        return self.cell_index[cell]
-
     def take(self, indices) -> "Sample":
         """New sample holding the given rows, in the given order.
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -488,6 +489,33 @@ def test_boolean_config_value_is_config_error(command, key, value, bench_csv, tm
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and err["message"].startswith(f"--{key}: ")
     assert "boolean" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key, flag_value, file_value", [
+    (["analyze", "--report", "cdf"], "v", "nan", [math.nan]),
+    (["analyze", "--report", "cdf"], "v", "1,-inf", [1.0, -math.inf]),
+    (["analyze", "--report", "bands"], "v-range", "0,inf", [0.0, math.inf]),
+    (["analyze", "--report", "bands"], "v-range", "-inf,0", "-inf,0"),
+    (["simulate", "table1"], "v", "inf", math.inf),
+    (["simulate", "table2"], "v-range", "1,inf", [1.0, math.inf])])
+def test_non_finite_value_is_config_error(command, key, flag_value, file_value, bench_csv,
+                                          tmp_path, capsys, monkeypatch):
+    # a non-finite evaluation point would reach the bootstrap before failing
+    import itedist.benchmark_sim
+    import itedist.cli
+    monkeypatch.setattr(itedist.cli, "ingest_csv", _unreachable)
+    monkeypatch.setattr(itedist.benchmark_sim, "run_coverage", _unreachable)
+    prefix = command + (["--input", str(bench_csv)] if command[0] == "analyze" else [])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: file_value}))
+    errors = []
+    for given in ([f"--{key}={flag_value}"], ["--config", str(cfg_path)]):
+        assert run_cli(*prefix, *given, "--output", str(tmp_path / "out")) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    err = json.loads(errors[0])
+    assert err["error"] == "config" and err["message"].startswith(f"--{key}: must be finite")
     assert not (tmp_path / "out").exists()
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from itedist import (Bounds, EstimabilityError, Sample, build_context,
                      estimate_bounds, generate, minimize_objective,
                      objective_value, pseudo_ites, sign_left)
+import itedist.counterfactual
 from itedist._rng import derive_stream
 from itedist.counterfactual import _segmented_cumsum
 
@@ -370,6 +371,84 @@ class TestExactOracle:
                 row += 1
 
 
+def _count_exact_windows(monkeypatch):
+    """Wrap the kernel's exact helper; the list holds one entry per window."""
+    windows = []
+    inner = itedist.counterfactual._exact_edge
+
+    def counting(x, slope, i, j):
+        windows.append(int(j) - int(i))
+        return inner(x, slope, i, j)
+
+    monkeypatch.setattr(itedist.counterfactual, "_exact_edge", counting)
+    return windows
+
+
+# Outcome families whose float hull tests the error bound cannot all settle:
+# integer steps at a large offset give exactly collinear chords, subnormal
+# widths give chords whose error bound dwarfs them, and steps near 1e300 next
+# to ones 1e15 times smaller give a bound set by the huge terms.
+_EXACT_FAMILIES = {
+    "near-collinear chains": lambda rng, n: 1e9 + rng.integers(0, 6, n).astype(float),
+    "subnormal widths": lambda rng, n: np.where(rng.random(n) < 0.2, 1.0,
+                                                rng.integers(0, 8, n) * 5e-324),
+    "huge magnitudes": lambda rng, n: (rng.integers(-3, 4, n) * 1e300
+                                       + rng.integers(0, 4, n) * 1e285),
+}
+
+
+class TestExactWindows:
+    """Fits that reach the exact path must still match :func:`exact_argmin`."""
+
+    @pytest.mark.parametrize("family", sorted(_EXACT_FAMILIES))
+    def test_doubtful_tests_decided_exactly(self, family, monkeypatch):
+        windows = _count_exact_windows(monkeypatch)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 25))
+            y = _EXACT_FAMILIES[family](rng, n).tolist()
+            d = [0, 1, 1, 0] + rng.integers(0, 2, n - 4).tolist()
+            z = [0, 1, 0, 1] + rng.integers(0, 2, n - 4).tolist()
+            s = Sample(outcomes=y, treatments=d, instruments=z,
+                       covariates=np.zeros((n, 0), dtype=int))
+            bounds = estimate_bounds(s)
+            vec = pseudo_ites(s, bounds)
+            rows = list(zip(y, d, z))
+            for i, (y_i, d_i, _) in enumerate(rows):
+                target = 1 - d_i
+                assert vec.minimizers[i] == exact_argmin(rows, i, target, y_i,
+                                                         *bounds.for_group(target, ()))
+        assert windows, "no test reached the exact path"
+
+    def test_hundred_thousand_row_cell_needs_no_exact_window(self, monkeypatch):
+        # The bound grows with the depth of the scan, not the problem size, so
+        # these continuous outcomes leave no test in doubt.
+        windows = _count_exact_windows(monkeypatch)
+        gen = generate(100_000, derive_stream(4242, 0))
+        pseudo_ites(gen.sample, estimate_bounds(gen.sample))
+        assert windows == []
+
+
+@st.composite
+def scan_problems(draw):
+    """Problems of the kernel's shape: sorted distinct candidates and the
+    integer slopes of the segments between them."""
+    problems = []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+        x = sorted(draw(st.lists(st.floats(-scale, scale), min_size=1, max_size=80,
+                                 unique=True)))
+        big = draw(st.sampled_from([3, 2 ** 40, 2 ** 62]))
+        if draw(st.booleans()):
+            # huge slopes of alternating sign, whose rises cancel
+            slopes = [(-1) ** i * big + draw(st.integers(-3, 3)) for i in range(len(x) - 1)]
+        else:
+            slopes = draw(st.lists(st.integers(-big, big), min_size=len(x) - 1,
+                                   max_size=len(x) - 1))
+        problems.append((x, slopes))
+    return problems
+
+
 class TestSegmentedCumsum:
     def test_segments_never_mix(self):
         # Huge terms that cancel exactly, next to small integers whose sums
@@ -386,6 +465,37 @@ class TestSegmentedCumsum:
         out = np.split(_segmented_cumsum(values, first), np.cumsum(sizes)[:-1])
         for seg, sums in zip(segments, out):
             assert sums.tolist() == np.cumsum(seg).tolist()
+
+    @example([([0.0, 1.0, 2.0, 3.0, 4.0], [2 ** 62, -2 ** 62, 2 ** 62 - 1, -2 ** 62])])
+    @example([([-1e300, 0.0, 1e300], [1000, -1000]),
+              ([5e-324, 1e-323, 1.5e-323, 1e-300], [3, -3, 2 ** 62])])
+    @given(scan_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_within_derived_bound(self, problems):
+        # G as the kernel builds it: integer slopes times float widths, summed
+        # by the scan; each prefix must lie within the documented error bound
+        # (2 u sum|rise| + 1e-300) * (ceil(log2 m) + 3) of its exact value.
+        rises, first = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, slopes in problems:
+                step_up = np.zeros(len(x))
+                step_up[1:] = np.array(slopes, dtype=np.int64) * np.diff(np.array(x))
+                rises.append(step_up)
+                first += [len(first)] * len(x)
+            g = _segmented_cumsum(np.concatenate(rises), np.array(first))
+            errs = [(2.0 * 2.0 ** -53 * np.abs(step_up).sum() + 1e-300)
+                    * ((len(x) - 1).bit_length() + 3)
+                    for (x, _), step_up in zip(problems, rises)]
+        at = 0
+        for (x, slopes), err in zip(problems, errs):
+            m = len(x)
+            exact = Fraction(0)
+            for j in range(m):
+                if j:
+                    exact += slopes[j - 1] * (Fraction(x[j]) - Fraction(x[j - 1]))
+                if np.isfinite(err):
+                    assert abs(Fraction(g[at + j]) - exact) <= Fraction(err)
+            at += m
 
 
 class TestPseudoItes:
