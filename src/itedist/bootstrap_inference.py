@@ -270,6 +270,7 @@ def _fit_chunk(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, chunk: rang
         np.concatenate([draw.treatments for draw in draws]), z, codes,
         tuple((r, *cell) for r, draw in zip(chunk, draws) for cell in draw.cell_table),
         margins.reshape(-1, 2).sum(axis=1))
+    del draws
     stacked_bounds = Bounds({(d, (r, *cell)): support
                              for r in chunk
                              for (d, cell), support in bounds.by_group.items()})
@@ -281,7 +282,7 @@ def _fit_chunk(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, chunk: rang
 def draw_replicates(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
                     group: int = 0, threads: int = 1) -> BootstrapReplicates:
     """Run all replications once; every product can be read off the result."""
-    point = pseudo_ites(sample.take(sample.row_order), bounds)
+    point_sorted = np.sort(pseudo_ites(sample.take(sample.row_order), bounds).values)
     sorted_values = np.empty((cfg.n_replications, sample.n))
 
     def one(chunk: range) -> int:
@@ -289,8 +290,7 @@ def draw_replicates(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
                           sorted_values[chunk.start:chunk.stop])
 
     redraws = parallel_map(one, _chunks(cfg.n_replications, sample.n), threads)
-    return BootstrapReplicates(sorted_values=sorted_values,
-                               point_sorted=np.sort(point.values),
+    return BootstrapReplicates(sorted_values=sorted_values, point_sorted=point_sorted,
                                redraws=sum(redraws))
 
 

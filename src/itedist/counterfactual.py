@@ -33,8 +33,8 @@ vertex of the lower convex hull of ``F`` whose right edge has slope at least
 over ``m`` candidates.
 
 :func:`pseudo_ites` solves every (cell, target, instrument arm) problem of a
-sample in one kernel call, over concatenated arrays with problem ids, so a
-fit costs a fixed number of array operations per pass, not per problem:
+sample at once, over concatenated arrays with problem ids, so a fit costs a
+fixed number of array operations per pass, not per problem:
 
 * one sort by (cell, treatment, outcome) serves both arms of every (cell,
   target), and one pass of cumulative arm counts over it gives both the
@@ -65,6 +65,11 @@ doubtful windows, not with the problem.  Flat segments and exact ties
 therefore always resolve to their leftmost point.
 :func:`minimize_objective` calls the same kernel with one problem and one
 query.
+
+The kernel runs in two calls, :func:`_chains` then
+:func:`_smallest_minimizers`, and every n-sized temporary is dropped after
+its last read: while the hulls are searched a fit holds the problems' chain
+points and candidates, not the sorted rows they were copied from.
 
 All contexts are immutable; evaluation is pure, so batches may run in
 parallel without affecting results.
@@ -242,13 +247,15 @@ def minimize_objective(ctx: ObjectiveContext, i, y: float) -> float:
     in_match = np.concatenate((ctx.row_z[keep] == ctx.target, [False, False]))
     in_other = np.concatenate((ctx.row_z[keep] != ctx.target, [False, False]))
     order = np.argsort(values)
+    values = values[order]
     group = np.zeros(len(values), dtype=np.intp)
     one = np.zeros(1, dtype=np.intp)
     k = np.array([n_match * int(g_other) - n_other * int(g_match)], dtype=np.int64)
-    return float(_smallest_minimizers(
-        values[order], group, _arm_balance(group, in_match[order], 1),
-        _arm_balance(group, in_other[order], 1), np.array([ctx.lower]),
-        np.array([ctx.upper]), one, np.array([n_match]), np.array([n_other]), one, k)[0])
+    chains = _chains(values, group, _run_ends(group, values),
+                     _arm_balance(group, in_match[order], 1),
+                     _arm_balance(group, in_other[order], 1), np.array([ctx.lower]),
+                     np.array([ctx.upper]), one, np.array([n_match]), np.array([n_other]))
+    return float(_smallest_minimizers(chains, one, k)[0])
 
 
 # Unit roundoff of float64, and an absolute slack that keeps the float error
@@ -314,8 +321,11 @@ def _edge_slope(x, g, err, a, b, at, unit):
     width = x[b] - x[a]
     slope = (g[b] - g[a]) / width
     bound = 2.02 * err / width + 6.0 * _UNIT * np.abs(slope) + _TINY
+    del width
     one = (at[b] - at[a] == 1) & np.isfinite(unit[a])
-    return np.where(one, unit[a], slope), np.where(one, 0.0, bound)
+    np.copyto(slope, unit[a], where=one)
+    bound[one] = 0.0
+    return slope, bound
 
 
 def _run_ends(group: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -344,20 +354,28 @@ def _keyed(problem: np.ndarray, value: np.ndarray) -> np.ndarray:
 # Float overflow only widens a test's error bound to infinity, which sends
 # the test to the exact path, so it needs no warning.
 @np.errstate(over="ignore", invalid="ignore")
-def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_match,
-                         p_n_other, q_problem, k) -> np.ndarray:
-    """Smallest exact minimizer of ``F_p(t) + k * t`` for each query, all at once.
+def _chains(y, group, last, net_match, net_other, lo, hi, p_group, p_n_match, p_n_other):
+    """Every problem's candidates, the chain points of its ``F`` and the error
+    bound on ``G = F - F(lo)``.
 
     Group ``g`` holds the treatment-target outcomes of one (cell, target):
-    ``y`` is sorted by ``(group, y)``, and a group that any problem reads
-    also holds its bounds ``lo[g]`` and ``hi[g]`` as elements in no arm.
-    ``net_match``/``net_other`` give, for each element, the matching/other
-    instrument arm's outcomes of its group at or before it minus those after
-    it (see :func:`_arm_balance`).  Problem ``p`` minimizes over group
-    ``p_group[p]`` with the leave-one-out arm sizes
-    ``p_n_match[p]``/``p_n_other[p]``; query ``q`` asks problem
-    ``q_problem[q]`` with the integer coefficient ``k[q]`` (see the module
-    docstring).
+    ``y`` is sorted by ``(group, y)``, ``last`` marks the last element of each
+    run of equal ``(group, y)`` (see :func:`_run_ends`), and a group that any
+    problem reads also holds its bounds ``lo[g]`` and ``hi[g]`` as elements
+    in no arm.  ``net_match``/``net_other`` give, for each element, the
+    matching/other instrument arm's outcomes of its group at or before it
+    minus those after it (see :func:`_arm_balance`).  Problem ``p`` minimizes
+    over group ``p_group[p]`` with the leave-one-out arm sizes
+    ``p_n_match[p]``/``p_n_other[p]``.
+
+    Returns ``(x_all, slope, pts, x, g, pp, unit, err)``: every problem's
+    candidates, concatenated, and the integer slope of ``F`` right of each;
+    the positions among them of the chain points, and at each chain point its
+    candidate, ``G``, its problem and its integer slope where a float holds it
+    exactly (``inf`` elsewhere); and each problem's bound on the error of
+    ``G``.  Only these outlive the call, so a caller that drops its inputs
+    once it has them holds nothing n-sized but these while the hulls are
+    searched.
 
     Error bound.  ``G`` at candidate ``j`` of a problem with ``m``
     candidates is the scan sum of the rises ``r_i = fl(fl(s_{i-1}) * fl(x_i
@@ -378,11 +396,10 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
     ``A'`` and of ``err`` itself for any ``m`` below ``2**51``, and ``_TINY``
     covers ``2 * m * eta`` for any ``m`` below ``10**23``.  A rise or ``A'``
     that overflows makes ``err`` infinite, and so does a problem whose range
-    overflows.  Any float test this bound cannot settle goes to
-    :func:`_exact_edge`, over the candidates its edges span.
+    overflows.
     """
     # Candidates: the distinct in-bounds values of each group.
-    cand = np.flatnonzero(_run_ends(group, y) & (y >= lo[group]) & (y <= hi[group]))
+    cand = np.flatnonzero(last & (y >= lo[group]) & (y <= hi[group]))
     c_first = np.searchsorted(group[cand], np.arange(len(lo)))
     c_count = np.diff(np.append(c_first, len(cand)))
 
@@ -393,29 +410,49 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
     prob = np.repeat(np.arange(len(m)), m)
     local = np.arange(len(prob)) - start[prob]
     src = cand[c_first[p_group[prob]] + local]
+    del cand
     x_all = y[src]
     slope = p_n_other[prob] * net_match[src] - p_n_match[prob] * net_other[src]
+    del src
     step_up = np.zeros(len(prob))
     inner = np.flatnonzero(local > 0)
     step_up[inner] = slope[inner - 1] * (x_all[inner] - x_all[inner - 1])
+    del inner
     g_all = _segmented_cumsum(step_up, start[prob])
     # Each G is off by at most ``err`` (see the docstring): three roundings
     # per rise, one per level of the problem's scan, whose depth is
     # ceil(log2 m), the bit length of m - 1, and underflow slack.
     depth = np.frexp(m - 1)[1]
     err = (2.0 * _UNIT * np.add.reduceat(np.abs(step_up), start) + _TINY) * (depth + 3)
+    del step_up
     err[~np.isfinite(x_all[start + m - 1] - x_all[start])] = np.inf
 
     # Only candidates where the slope strictly rises can be hull vertices:
     # these, with both ends, are the chain points.
     is_pt = (local == 0) | (local == m[prob] - 1)
+    del local
     rest = np.flatnonzero(~is_pt)
     is_pt[rest] = slope[rest] > slope[rest - 1]
+    del rest
     pts = np.flatnonzero(is_pt)
+    del is_pt
     x, g, pp = x_all[pts], g_all[pts], prob[pts]
-    perr = err[pp]
     # The integer slope right of each point, where a float holds it exactly.
     unit = np.where(np.abs(slope[pts]) < 2 ** 53, slope[pts], np.inf)
+    return x_all, slope, pts, x, g, pp, unit, err
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _smallest_minimizers(chains, q_problem, k) -> np.ndarray:
+    """Smallest exact minimizer of ``F_p(t) + k * t`` for each query, all at once.
+
+    ``chains`` is what :func:`_chains` returns for the problems; query ``q``
+    asks problem ``q_problem[q]`` with the integer coefficient ``k[q]`` (see
+    the module docstring).  Any float test that the error bound on ``G``
+    cannot settle goes to :func:`_exact_edge`, over the candidates its edges
+    span.
+    """
+    x_all, slope, pts, x, g, pp, unit, err = chains
 
     # The chain, as links to each point's neighbours, and the slope and its
     # error bound of the edge from each point to its successor; a problem's
@@ -428,8 +465,9 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
     edge_s = np.full(len(pts), np.inf)
     edge_e = np.zeros(len(pts))
     linked = np.flatnonzero(succ >= 0)
-    edge_s[linked], edge_e[linked] = _edge_slope(x, g, perr[linked], linked, succ[linked],
-                                                 pts, unit)
+    edge_s[linked], edge_e[linked] = _edge_slope(x, g, err[pp[linked]], linked,
+                                                 succ[linked], pts, unit)
+    del linked
 
     # Elimination passes: every point on or above the chord of its current
     # neighbours is not a hull vertex, so all of them go at once; only the
@@ -438,16 +476,19 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
     alive = np.ones(len(pts), dtype=bool)
     work = np.flatnonzero((prev >= 0) & (succ >= 0))
     while len(work):
-        left, right = prev[work], succ[work]
+        left = prev[work]
         s1, e1 = edge_s[left], edge_e[left]
         s2, e2 = edge_s[work], edge_e[work]
         drop = ~(s1 + e1 < s2 - e2)
-        for t in np.flatnonzero(drop & ~(s1 - e1 > s2 + e2)).tolist():
-            a, b, c = pts[left[t]], pts[work[t]], pts[right[t]]
+        doubt = np.flatnonzero(drop & ~(s1 - e1 > s2 + e2))
+        del s1, e1, s2, e2
+        for t in doubt.tolist():
+            a, b, c = pts[left[t]], pts[work[t]], pts[succ[work[t]]]
             dx1, dg1 = _exact_edge(x_all, slope, a, b)
             dx2, dg2 = _exact_edge(x_all, slope, b, c)
             drop[t] = not dg1 * dx2 < dg2 * dx1
         gone = work[drop]
+        del work, left, drop
         if not len(gone):
             break
         alive[gone] = False
@@ -455,12 +496,15 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
         joined = succ[gone[:-1]] == gone[1:]
         left = prev[gone[np.concatenate(([True], ~joined))]]
         right = succ[gone[np.concatenate((~joined, [True]))]]
+        del gone, joined
         succ[left], prev[right] = right, left
-        edge_s[left], edge_e[left] = _edge_slope(x, g, perr[left], left, right, pts, unit)
+        edge_s[left], edge_e[left] = _edge_slope(x, g, err[pp[left]], left, right, pts, unit)
         # Sorted and deduplicated by run starts: np.unique would load numpy.ma.
         work = np.sort(np.concatenate((left, right)))
+        del left, right
         work = work[np.concatenate(([True], work[1:] != work[:-1]))]
         work = work[(prev[work] >= 0) & (succ[work] >= 0)]
+    del prev, succ
 
     # Made monotone, the bounds on the slope of the edge right of each hull
     # vertex bracket the first edge with exact slope >= -k: it starts at or
@@ -468,14 +512,19 @@ def _smallest_minimizers(y, group, net_match, net_other, lo, hi, p_group, p_n_ma
     # that vertex's lower bound does not reach -k too can it lie further
     # right.  Complex keys let one searchsorted serve every problem.
     hull = np.flatnonzero(alive)
+    del alive
     hp = pp[hull]
     s, e = edge_s[hull], edge_e[hull]
+    del edge_s, edge_e
     lower = np.maximum.accumulate(_keyed(hp, np.fmax(s - e, -np.inf)))
     upper = np.minimum.accumulate(_keyed(hp, np.fmin(s + e, np.inf))[::-1])[::-1]
+    del hp, s, e
     queries = _keyed(q_problem, -np.asarray(k, dtype=np.float64))
     at = np.searchsorted(upper, queries, side="left")
+    del upper
     doubt = np.flatnonzero(lower.imag[at] < queries.imag)
     stop = np.searchsorted(lower, queries[doubt], side="left")
+    del lower, queries
     vert = pts[hull]
     for q, b in zip(doubt.tolist(), stop.tolist()):
         kq, a = int(k[q]), int(at[q])
@@ -521,7 +570,7 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
     sizes = sample.cell_sizes
     cell = sample.cell_codes
     y = sample.outcomes
-    d = sample.treatments.astype(np.intp)
+    d = sample.treatments
     z = sample.instruments
     n_z1 = np.bincount(cell[z == 1], minlength=len(cells))
     thin = np.flatnonzero(np.minimum(n_z1, sizes - n_z1) < 2)
@@ -534,6 +583,8 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
     # Group 2 * cell + d holds the treatment-d rows of a cell: the outcomes
     # the map onto d minimizes over, and the query rows of the map onto
     # 1 - d.  A map with queries also gets its bounds as group elements.
+    # Each n-sized array is dropped after its last read, so the peak holds
+    # only what the kernel and the effects still need.
     n_groups = 2 * len(cells)
     has_queries = np.bincount(2 * cell + 1 - d, minlength=n_groups) > 0
     lo = np.full(n_groups, np.nan)
@@ -550,7 +601,8 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
     group, values = group[order], values[order]
     is_row = order < n
     src = order[is_row]   # rows, sorted by (group, y)
-    w_match = np.zeros(len(order), dtype=bool)
+    del order
+    w_match = np.zeros(len(group), dtype=bool)
     w_match[is_row] = (z == d)[src]
     net_match = _arm_balance(group, w_match, n_groups)
     net_other = _arm_balance(group, is_row & ~w_match, n_groups)
@@ -559,28 +611,39 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
     # balances of its group at the last row tied with its outcome, negated
     # (the matching arm of the map onto 1 - d is the other arm of its own
     # group).
-    run_end = np.where(_run_ends(group, values), np.arange(len(order)), len(order))
+    last = _run_ends(group, values)
+    run_end = np.where(last, np.arange(len(group)), len(group))
     tie_end = np.minimum.accumulate(run_end[::-1])[::-1][is_row]
+    del run_end
     qgroup = group[tie_end]
     in_match = ~w_match[is_row]
+    del w_match, is_row
     # A query's own sign term is sign_left(0) = -1; removing it adds 1.
     g_match = in_match - net_other[tie_end]
     g_other = ~in_match - net_match[tie_end]
+    del tie_end
     target = 1 - d[src]
     qcell = cell[src]
     n_match = np.where(target == 1, n_z1[qcell], sizes[qcell] - n_z1[qcell]) - in_match
     n_other = sizes[qcell] - n_match - 1
+    del qcell
     k = n_match * g_other - n_other * g_match
+    del g_match, g_other
 
     # One problem per (map, arm of the left-out row) that has queries.
     key = 2 * (qgroup ^ 1) + in_match
+    del qgroup, in_match
     used = np.bincount(key, minlength=2 * n_groups) > 0
     problems = np.flatnonzero(used)
     q_problem = (np.cumsum(used) - 1)[key]
+    del key
     first = np.zeros(len(problems), dtype=np.intp)
     first[q_problem] = np.arange(len(q_problem))
-    phi = _smallest_minimizers(values, group, net_match, net_other, lo, hi, problems // 2,
-                               n_match[first], n_other[first], q_problem, k)
+    chains = _chains(values, group, last, net_match, net_other, lo, hi, problems // 2,
+                     n_match[first], n_other[first])
+    del values, group, last, net_match, net_other, n_match, n_other
+    phi = _smallest_minimizers(chains, q_problem, k)
+    del chains, q_problem, k
 
     effects = np.empty(n, dtype=np.float64)
     effects[src] = np.where(target == 1, phi - y[src], y[src] - phi)

@@ -400,12 +400,13 @@ def check_estimability(sample: Sample, min_per_group: int = 10) -> EstimabilityR
     instrument, which contradicts instrument relevance but does not block
     the computation.
     """
+    # counts[c] = ((z=0, d=0), (z=0, d=1)), ((z=1, d=0), (z=1, d=1)) of cell c
+    counts = np.bincount(4 * sample.cell_codes + 2 * sample.instruments + sample.treatments,
+                         minlength=4 * len(sample.cell_table)).reshape(-1, 2, 2).tolist()
     records = []
-    for cell, rows in sample.cell_index.items():
-        z_cell = sample.instruments[rows]
-        d_cell = sample.treatments[rows]
-        n_z = (int((z_cell == 0).sum()), int((z_cell == 1).sum()))
-        n_d = (int((d_cell == 0).sum()), int((d_cell == 1).sum()))
+    for cell, ((z0d0, z0d1), (z1d0, z1d1)) in zip(sample.cell_table, counts):
+        n_z = (z0d0 + z0d1, z1d0 + z1d1)
+        n_d = (z0d0 + z1d0, z0d1 + z1d1)
         flags = []
         for z in (0, 1):
             if n_z[z] == 0:
@@ -413,13 +414,13 @@ def check_estimability(sample: Sample, min_per_group: int = 10) -> EstimabilityR
             elif n_z[z] < min_per_group:
                 flags.append(f"Z={z} margin below minimum ({n_z[z]} < {min_per_group})")
         if n_z[0] > 0 and n_z[1] > 0:
-            p1 = float(d_cell[z_cell == 1].mean())
-            p0 = float(d_cell[z_cell == 0].mean())
+            p1 = z1d1 / n_z[1]
+            p0 = z0d1 / n_z[0]
             if p1 <= p0:
                 flags.append(
                     f"first stage not positive (Pr[D=1|Z=1]={p1:.3f} <= Pr[D=1|Z=0]={p0:.3f})")
         records.append(CellEstimability(
-            cell=cell, n_rows=len(rows), n_instrument=n_z, n_treatment=n_d,
+            cell=cell, n_rows=sum(n_z), n_instrument=n_z, n_treatment=n_d,
             flags=tuple(flags)))
     return EstimabilityReport(cells=tuple(records), min_per_group=min_per_group)
 
@@ -493,51 +494,31 @@ def _first_row(values, bad: set) -> int:
     return len(values)
 
 
-def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
-    """Read an RFC-4180-style CSV (header required, UTF-8) into a sample.
+# Rows read, checked and converted at a time: enough to spread the per-block
+# work over many rows, few enough that one block's strings stay small beside
+# the arrays.
+_BLOCK_ROWS = 2048
 
-    Row order is preserved.  Covariates already coded as integers are kept
-    as read; any other label is assigned a stable integer code, reported in
-    the result.  Every malformed value aborts ingestion with the offending
-    data row number (1-based, excluding the header); an integer code outside
-    the 64-bit range is malformed.  A line the ``csv`` module cannot parse,
-    such as one holding a field beyond its size limit, aborts ingestion with
-    its line number in the file.
 
-    A leading UTF-8 byte-order mark, as spreadsheet programs write, is
-    skipped.  The rows are read once and then checked and converted column
-    by column, each check against the distinct raw values of its column.
-    The error raised is the one a row-by-row reader would meet first: the
-    earliest failing row, and within a row the field count, then blank
-    fields in column-map order, then a non-numeric or non-finite outcome,
-    then the treatment, then the instrument.
+def _check_block(rows, width: int, columns: dict, column_map: ColumnMap, done: int):
+    """Parse and check one block of data rows, the first of which is data row
+    ``done + 1``.
+
+    ``columns`` maps each wanted column name to its field position.  Raises
+    the first fault of the block; returns the block's outcomes, treatments
+    and instruments, and its raw fields by column name.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-            header = [h.strip() for h in header]
-            wanted = [column_map.outcome, column_map.treatment, column_map.instrument,
-                      *column_map.covariates]
-            missing = [c for c in wanted if c not in header]
-            if missing:
-                raise IngestError(f"{path}: missing column(s) {missing}")
-            rows = list(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: file is empty (header row required)")
-        except csv.Error as exc:
-            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
-
     # The rows before the first one with the wrong field count, as columns
     # (``itemgetter`` rather than ``zip(*rows)``, which holds an iterator,
     # a garbage-collected object, for every row at once).
-    n = next((i for i, row in enumerate(rows) if len(row) != len(header)), len(rows))
-    columns = {c: list(map(itemgetter(header.index(c)), rows[:n])) for c in wanted}
-    outcomes = _parse_distinct(columns[column_map.outcome], float)
-    treatments = _parse_distinct(columns[column_map.treatment], _binary)
-    instruments = _parse_distinct(columns[column_map.instrument], _binary)
-    checks = [(c, {v for v in set(columns[c]) if not v.strip()}, "is missing")
-              for c in dict.fromkeys(wanted)]
+    n = next((i for i, k in enumerate(map(len, rows)) if k != width), len(rows))
+    kept = rows if n == len(rows) else rows[:n]
+    fields = {c: list(map(itemgetter(j), kept)) for c, j in columns.items()}
+    outcomes = _parse_distinct(fields[column_map.outcome], float)
+    treatments = _parse_distinct(fields[column_map.treatment], _binary)
+    instruments = _parse_distinct(fields[column_map.instrument], _binary)
+    checks = [(c, {v for v in set(fields[c]) if not v.strip()}, "is missing")
+              for c in columns]
     checks += [
         (column_map.outcome, {v for v, y in outcomes.items() if y is None},
          "must be numeric, got {!r}"),
@@ -550,39 +531,129 @@ def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
          "must be 0 or 1, got {!r}"),
     ]
     # the first failing row of each check; on one row the earlier check wins
-    i, _, column, message = min((_first_row(columns[c], bad), rank, c, message)
+    i, _, column, message = min((_first_row(fields[c], bad), rank, c, message)
                                 for rank, (c, bad, message) in enumerate(checks))
     if i < n:
-        raise IngestError(f"row {i + 1}: column {column!r} "
-                          + message.format(columns[column][i]))
+        raise IngestError(f"row {done + i + 1}: column {column!r} "
+                          + message.format(fields[column][i]))
     if n < len(rows):
-        raise IngestError(f"row {n + 1}: expected {len(header)} fields, got {len(rows[n])}")
-    if not rows:
+        raise IngestError(f"row {done + n + 1}: expected {width} fields, got {len(rows[n])}")
+    return (np.fromiter(map(outcomes.__getitem__, fields[column_map.outcome]),
+                        np.float64, n),
+            np.fromiter(map(treatments.__getitem__, fields[column_map.treatment]),
+                        np.int8, n),
+            np.fromiter(map(instruments.__getitem__, fields[column_map.instrument]),
+                        np.int8, n),
+            fields)
+
+
+def _covariate_column(index: dict, ids: np.ndarray, column: str, label_codes: dict):
+    """Integer codes of one covariate column from its distinct raw values.
+
+    ``index`` numbers the column's distinct raw values in order of first
+    appearance and ``ids`` gives each row's number.  The column keeps its
+    values if every one is an integer (an integer beyond the 64-bit range is
+    malformed); otherwise each label gets its position among the sorted
+    labels, recorded in ``label_codes``.
+    """
+    raws = list(index)
+    values = list(map(str.strip, raws))
+    try:
+        codes = np.array(list(map(int, values)), dtype=np.int64)
+    except ValueError:
+        mapping = {label: code for code, label in enumerate(sorted(set(values)))}
+        codes = np.array(list(map(mapping.__getitem__, values)), dtype=np.int64)
+        label_codes[column] = mapping
+    except OverflowError:
+        limits = np.iinfo(np.int64)
+        # raw values are numbered in order of first appearance, so the
+        # smallest failing number is the first failing row's
+        bad = next(j for j, v in enumerate(values) if not limits.min <= int(v) <= limits.max)
+        i = int(np.argmax(ids == bad))
+        raise IngestError(f"row {i + 1}: column {column!r} must be an integer code "
+                          f"that fits in 64 bits, got {raws[bad]!r}") from None
+    return codes[ids]
+
+
+def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
+    """Read an RFC-4180-style CSV (header required, UTF-8) into a sample.
+
+    Row order is preserved.  Covariates already coded as integers are kept
+    as read; any other label is assigned a stable integer code, reported in
+    the result.  Every malformed value aborts ingestion with the offending
+    data row number (1-based, excluding the header); an integer code outside
+    the 64-bit range is malformed.  A line the ``csv`` module cannot parse,
+    such as one holding a field beyond its size limit, aborts ingestion with
+    its line number in the file.
+
+    A leading UTF-8 byte-order mark, as spreadsheet programs write, is
+    skipped.  The rows are read in blocks of ``_BLOCK_ROWS``; each block is
+    checked and converted column by column, each check against the distinct
+    raw values of its column, before the next is read, so memory follows the
+    arrays rather than the text.  Covariate columns are kept as numbers of
+    their distinct raw values until the last block, when each is coded as a
+    whole.  The error raised is the one a row-by-row reader would meet first:
+    the earliest failing row, and within a row the field count, then blank
+    fields in column-map order, then a non-numeric or non-finite outcome,
+    then the treatment, then the instrument; a line the ``csv`` module
+    cannot parse comes after every fault in the rows before it.
+    """
+    wanted = [column_map.outcome, column_map.treatment, column_map.instrument,
+              *column_map.covariates]
+    outcomes, treatments, instruments = [], [], []
+    # Per covariate name: its distinct raw values, numbered in order of first
+    # appearance, and each block's array of its rows' numbers.
+    indexes = {c: {} for c in column_map.covariates}
+    ids = {c: [] for c in column_map.covariates}
+    done = 0
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(f"{path}: file is empty (header row required)")
+        except csv.Error as exc:
+            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+        header = [h.strip() for h in header]
+        missing = [c for c in wanted if c not in header]
+        if missing:
+            raise IngestError(f"{path}: missing column(s) {missing}")
+        columns = {c: header.index(c) for c in dict.fromkeys(wanted)}
+        while True:
+            rows, fault = [], None
+            try:
+                rows.extend(itertools.islice(reader, _BLOCK_ROWS))
+            except csv.Error as exc:
+                # the rows read before the bad line are checked first
+                fault = IngestError(f"{path}: line {reader.line_num}: {exc}")
+            y, d, z, fields = _check_block(rows, len(header), columns, column_map, done)
+            del rows
+            if fault is not None:
+                raise fault
+            outcomes.append(y)
+            treatments.append(d)
+            instruments.append(z)
+            for column, index in indexes.items():
+                values = fields[column]
+                for value in dict.fromkeys(values):
+                    index.setdefault(value, len(index))
+                ids[column].append(np.fromiter(map(index.__getitem__, values), np.intp,
+                                               len(values)))
+            del fields
+            done += len(y)
+            if len(y) < _BLOCK_ROWS:
+                break
+    if not done:
         raise IngestError(f"{path}: no data rows")
 
     label_codes: dict[str, dict[str, int]] = {}
-    coded = np.zeros((n, len(column_map.covariates)), dtype=np.int64)
+    coded = np.empty((done, len(column_map.covariates)), dtype=np.int64)
     for j, column in enumerate(column_map.covariates):
-        values = list(map(str.strip, columns[column]))
-        try:
-            coded[:, j] = list(map(int, values))
-        except ValueError:
-            mapping = {label: code for code, label in enumerate(sorted(set(values)))}
-            coded[:, j] = list(map(mapping.__getitem__, values))
-            label_codes[column] = mapping
-        except OverflowError:
-            limits = np.iinfo(coded.dtype)
-            i = next(i for i, v in enumerate(values) if not limits.min <= int(v) <= limits.max)
-            raise IngestError(f"row {i + 1}: column {column!r} must be an integer code "
-                              f"that fits in 64 bits, got {columns[column][i]!r}") from None
-
-    sample = Sample(
-        outcomes=np.array(list(map(outcomes.__getitem__, columns[column_map.outcome]))),
-        treatments=np.array(list(map(treatments.__getitem__,
-                                     columns[column_map.treatment]))),
-        instruments=np.array(list(map(instruments.__getitem__,
-                                      columns[column_map.instrument]))),
-        covariates=coded)
+        coded[:, j] = _covariate_column(indexes[column], np.concatenate(ids[column]), column,
+                                        label_codes)
+    del indexes, ids
+    sample = Sample(outcomes=np.concatenate(outcomes), treatments=np.concatenate(treatments),
+                    instruments=np.concatenate(instruments), covariates=coded)
     return IngestResult(sample=sample, column_map=column_map, label_codes=label_codes)
 
 

@@ -2,12 +2,27 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from itedist import ColumnMap, Sample, estimate_bounds, generate
 from itedist._rng import derive_stream
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` holds at its peak beyond what was held before it,
+    as ``tracemalloc`` counts them (numpy reports its buffers to it, so the
+    count does not depend on the allocator or the machine)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

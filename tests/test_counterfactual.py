@@ -17,11 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itedist import (Bounds, EstimabilityError, Sample, build_context,
-                     estimate_bounds, generate, minimize_objective,
+                     estimate_bounds, generate, ingest_csv, minimize_objective,
                      objective_value, pseudo_ites, sign_left)
 import itedist.counterfactual
 from itedist._rng import derive_stream
 from itedist.counterfactual import _segmented_cumsum
+
+from conftest import RETIREMENT_COLUMNS, traced_peak
 
 
 def naive_objective(rows, i, d, t, y):
@@ -633,6 +635,18 @@ class TestPseudoItes:
         vec = pseudo_ites(gen.sample, bounds)
         assert time.perf_counter() - started < 10.0
         assert np.all(np.isfinite(vec.values))
+
+    def test_retirement_fit_memory_per_row(self, retirement_csv):
+        # Each n-sized temporary dies after its last read, and the kernel's
+        # inputs die once every problem's candidates are copied out.
+        sample = ingest_csv(retirement_csv, RETIREMENT_COLUMNS).sample
+        bounds = estimate_bounds(sample)
+        assert traced_peak(lambda: pseudo_ites(sample, bounds)) <= 300 * sample.n
+
+    def test_one_cell_fit_memory_per_row(self):
+        sample = generate(20_000, derive_stream(4242, 0)).sample
+        bounds = estimate_bounds(sample)
+        assert traced_peak(lambda: pseudo_ites(sample, bounds)) <= 250 * sample.n
 
     def test_separated_arms_cell(self):
         # Elimination passes peel such a cell's chain a few points at a time.

@@ -17,7 +17,7 @@ from itedist import (Bounds, ColumnMap, EmptySelectionError, EstimabilityError,
                      ingest_csv, min_instrument_margin, sample_to_csv, select_group)
 from itedist._rng import derive_stream
 
-from conftest import RETIREMENT_COLUMNS
+from conftest import RETIREMENT_COLUMNS, traced_peak
 
 
 def _write(path, text):
@@ -313,17 +313,36 @@ class TestIngest:
             ingest_csv(path, ColumnMap("y", "d", "z"))
 
     def test_oversized_field_names_file_and_line(self, tmp_path):
-        # csv refuses a field beyond its 131,072-character limit
-        path = _write(tmp_path / "long.csv", 'y,d,z\n1.0,1,0\n"' + "x" * 200_000 + '",1,0\n')
-        with pytest.raises(IngestError, match=r"long\.csv: line 3: field larger than"):
-            ingest_csv(path, ColumnMap("y", "d", "z"))
+        # csv refuses a field beyond its 131,072-character limit; it is met
+        # before the faulty row after it
+        path = _write(tmp_path / "long.csv",
+                      'y,d,z\n1.0,1,0\n"' + "x" * 200_000 + '",1,0\noops,0,1\n')
+        for block in (1, 2, data_model._BLOCK_ROWS):
+            with mock.patch.object(data_model, "_BLOCK_ROWS", block):
+                with pytest.raises(IngestError, match=r"long\.csv: line 3: field larger than"):
+                    ingest_csv(path, ColumnMap("y", "d", "z"))
 
-    @pytest.mark.parametrize("code", ["99999999999999999999", "-9223372036854775809"])
+    def test_rows_before_unparsable_line_checked_first(self, tmp_path):
+        # data row 2 is faulty and line 9 holds a field beyond csv's limit
+        lines = ["y,d,z", "1.0,1,0", "oops,0,1", *["2.0,1,1"] * 5,
+                 '"' + "x" * 200_000 + '",1,0', "3.0,0,0"]
+        path = _write(tmp_path / "late.csv", "\n".join(lines) + "\n")
+        for block in (1, 4, data_model._BLOCK_ROWS):
+            with mock.patch.object(data_model, "_BLOCK_ROWS", block):
+                with pytest.raises(IngestError, match=r"^row 2: column 'y' must be numeric"):
+                    ingest_csv(path, ColumnMap("y", "d", "z"))
+
+    @pytest.mark.parametrize("code", ["99999999999999999999", "-9223372036854775809",
+                                      " 99999999999999999999"])
     def test_covariate_code_beyond_int64_names_row(self, code, tmp_path):
+        # the first failing row is named with its value as written there
         path = _write(tmp_path / "wide.csv",
-                      f"y,d,z,g\n1.0,1,0,9223372036854775807\n2.0,0,1,{code}\n")
-        with pytest.raises(IngestError, match=rf"row 2: column 'g' .*'{code}'"):
-            ingest_csv(path, ColumnMap("y", "d", "z", ("g",)))
+                      f"y,d,z,g\n1.0,1,0,9223372036854775807\n2.0,0,1,{code}\n"
+                      f"3.0,1,1,{code.strip()}\n")
+        for block in (1, data_model._BLOCK_ROWS):
+            with mock.patch.object(data_model, "_BLOCK_ROWS", block):
+                with pytest.raises(IngestError, match=rf"row 2: column 'g' .*'{code}'"):
+                    ingest_csv(path, ColumnMap("y", "d", "z", ("g",)))
 
     def test_label_covariates_coded_stably(self, tmp_path):
         path = _write(tmp_path / "labels.csv",
@@ -357,13 +376,30 @@ class TestIngest:
         assert marked.sample.covariates.tolist() == plain.sample.covariates.tolist()
         assert marked.label_codes == plain.label_codes == {"grp": {"a": 0, "b": 1}}
 
+    def test_ingest_memory_per_row(self, tmp_path):
+        # Rows are read, checked and converted a block at a time, so the text
+        # of the file is never held at once.
+        rng = np.random.default_rng(19)
+        n = 20_000
+        path = tmp_path / "wide.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["y", "d", "z", "g"])
+            writer.writerows(zip(map(repr, rng.normal(size=n).tolist()),
+                                 rng.integers(0, 2, n).tolist(),
+                                 rng.integers(0, 2, n).tolist(),
+                                 rng.integers(0, 64, n).tolist()))
+        assert traced_peak(lambda: ingest_csv(path, ColumnMap("y", "d", "z", ("g",)))) \
+            <= 250 * n
+
     @given(rows=st.lists(st.tuples(*map(st.sampled_from, _VALID)), max_size=7),
            faults=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 5),
                                      st.integers(0, 6)), max_size=3),
-           covariates=st.sampled_from([(), ("g",), ("g", "h"), ("h", "g")]))
+           covariates=st.sampled_from([(), ("g",), ("g", "h"), ("h", "g"), ("g", "g")]),
+           block=st.sampled_from([1, 2, 3, data_model._BLOCK_ROWS]))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_columnar_reader_matches_row_by_row_reader(self, rows, faults, covariates,
+    def test_columnar_reader_matches_row_by_row_reader(self, rows, faults, covariates, block,
                                                        tmp_path):
         table = [list(row) for row in rows]
         for k, j, v in faults:
@@ -377,14 +413,15 @@ class TestIngest:
         lines = ["y,d,z,g,h", *(",".join(row) for row in table)]
         path = _write(tmp_path / "faults.csv", "\n".join(lines) + "\n")
         column_map = ColumnMap("y", "d", "z", covariates)
-        try:
-            expected = _row_by_row(path, column_map)
-        except IngestError as exc:
-            with pytest.raises(IngestError) as raised:
-                ingest_csv(path, column_map)
-            assert str(raised.value) == str(exc)
-            return
-        result = ingest_csv(path, column_map)
+        with mock.patch.object(data_model, "_BLOCK_ROWS", block):
+            try:
+                expected = _row_by_row(path, column_map)
+            except IngestError as exc:
+                with pytest.raises(IngestError) as raised:
+                    ingest_csv(path, column_map)
+                assert str(raised.value) == str(exc)
+                return
+            result = ingest_csv(path, column_map)
         y, d, z, x, label_codes = expected
         sample = result.sample
         assert sample.outcomes.tobytes() == np.asarray(y, dtype=np.float64).tobytes()
