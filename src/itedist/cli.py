@@ -28,39 +28,52 @@ error; data products go to files only.
 """
 from __future__ import annotations
 
-import argparse
-import json
-import logging
-import math
-import os
-import sys
-import time
-from pathlib import Path
-from typing import Callable, NamedTuple
+import gc
 
-# No command does linear algebra, so numpy's OpenBLAS needs no worker threads.
-# OpenBLAS reads this once, when numpy loads, so it is set before any import
-# below loads numpy; a value the user set wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# What the imports below load lives as long as the process.  The collector is
+# paused while they run, then everything alive is frozen: no later collection,
+# and none at interpreter exit, walks it again.  The collector is left on or
+# off as it was found, also when an import fails.
+_COLLECTING = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import json
+    import logging
+    import math
+    import os
+    import sys
+    import time
+    from pathlib import Path
+    from typing import Callable, NamedTuple
 
-import numpy as np
+    # No command does linear algebra, so numpy's OpenBLAS needs no worker threads.
+    # OpenBLAS reads this once, when numpy loads, so it is set before any import
+    # below loads numpy; a value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__
-from .bootstrap_inference import (BootstrapConfig, ReplicationError,
-                                  ci_cdf, ci_prob_positive, ci_quantile_and_iqr,
-                                  compare_quantiles, draw_replicates,
-                                  test_distributions,
-                                  two_group_quantile_replicates,
-                                  ucb_cdf_constant, ucb_cdf_variable,
-                                  ucb_quantile_constant, ucb_quantile_variable,
-                                  ucb_quantile_difference)
-from .data_model import (ColumnMap, EmptySelectionError, EstimabilityError,
-                         GroupSelector, IngestError, check_estimability,
-                         estimate_bounds, ingest_csv, select_group,
-                         write_label_codes)
-from .empirical_dist import (cdf_at, default_value_grid, iqr, make_grid,
-                             prob_positive, quantile)
-from .reports import ReportDocument, error_report
+    import numpy as np
+
+    from . import __version__
+    from .bootstrap_inference import (BootstrapConfig, ReplicationError,
+                                      ci_cdf, ci_prob_positive, ci_quantile_and_iqr,
+                                      compare_quantiles, draw_replicates,
+                                      test_distributions,
+                                      two_group_quantile_replicates,
+                                      ucb_cdf_constant, ucb_cdf_variable,
+                                      ucb_quantile_constant, ucb_quantile_variable,
+                                      ucb_quantile_difference)
+    from .data_model import (ColumnMap, EmptySelectionError, EstimabilityError,
+                             GroupSelector, IngestError, check_estimability,
+                             estimate_bounds, ingest_csv, select_group,
+                             write_label_codes)
+    from .empirical_dist import (cdf_at, default_value_grid, iqr, make_grid,
+                                 prob_positive, quantile)
+    from .reports import ReportDocument, error_report
+    gc.freeze()
+finally:
+    if _COLLECTING:
+        gc.enable()
 
 logger = logging.getLogger("itedist")
 

@@ -584,7 +584,8 @@ def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
     data row number (1-based, excluding the header); an integer code outside
     the 64-bit range is malformed.  A line the ``csv`` module cannot parse,
     such as one holding a field beyond its size limit, aborts ingestion with
-    its line number in the file.
+    its line number in the file.  A column the map reads must appear once in
+    the header; a repeated column the map does not read is ignored.
 
     A leading UTF-8 byte-order mark, as spreadsheet programs write, is
     skipped.  The rows are read in blocks of ``_BLOCK_ROWS``; each block is
@@ -619,6 +620,10 @@ def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
         if missing:
             raise IngestError(f"{path}: missing column(s) {missing}")
         columns = {c: header.index(c) for c in dict.fromkeys(wanted)}
+        for column in columns:
+            if (count := header.count(column)) > 1:
+                raise IngestError(f"{path}: column {column!r} appears {count} times "
+                                  "in the header")
         while True:
             rows, fault = [], None
             try:

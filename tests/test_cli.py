@@ -150,6 +150,16 @@ class TestAnalyze:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "data" and "line 2" in err["message"]
 
+    def test_repeated_header_column_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "dup.csv"
+        src.write_text("y,d,z,y\n1.0,1,0,2.0\n2.0,0,1,3.0\n")
+        code = run_cli("analyze", "--input", str(src), "--output", str(tmp_path / "x.json"))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data"
+        assert err["message"] == f"{src}: column 'y' appears 2 times in the header"
+        assert not (tmp_path / "x.json").exists()
+
     def test_ingest_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("y,d,z\n1.0,5,0\n")
@@ -594,6 +604,58 @@ def test_package_import_loads_no_submodule_or_numpy():
                         "if m == 'numpy' or m.startswith(('numpy.', 'itedist.'))))", [])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# Imports itedist.cli after the prelude, then runs a command; prints the
+# collector state before and after the import, whether it succeeded, the
+# frozen object count after the import and after the command, and how many
+# collections started while the module's body ran.
+_COLLECTOR_PROBE = """import gc, sys
+{prelude}
+before = gc.isenabled()
+starts = 0
+def count(phase, info):
+    global starts
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code.co_name == '<module>' and frame.f_globals.get('__name__') == 'itedist.cli':
+            starts += phase == 'start'
+            break
+        frame = frame.f_back
+gc.callbacks.append(count)
+try:
+    from itedist.cli import main
+except ImportError:
+    print(before, gc.isenabled(), False, gc.get_freeze_count(), 0, starts)
+else:
+    frozen = gc.get_freeze_count()
+    assert main(['oracle', '--tau', '0.5']) == 0
+    print(before, gc.isenabled(), True, frozen, gc.get_freeze_count(), starts)
+"""
+
+
+@pytest.mark.parametrize("prelude", ["", "gc.disable()"])
+def test_cli_import_freezes_once_with_the_collector_paused(prelude):
+    # the import heap lives as long as the process: loading it runs no
+    # collection, and once frozen no collection or interpreter exit walks it
+    result = _run_fresh(_COLLECTOR_PROBE.format(prelude=prelude), [])
+    assert result.returncode == 0, result.stderr
+    before, after, imported, frozen, frozen_after_main, starts = result.stdout.split()[-6:]
+    assert before == after == str(not prelude)
+    assert imported == "True"
+    assert int(frozen) > 0
+    assert int(frozen_after_main) <= int(frozen)  # frozen objects may die, none join
+    assert starts == "0"
+
+
+@pytest.mark.parametrize("prelude", ["", "gc.disable()"])
+def test_failed_cli_import_restores_the_collector(prelude):
+    result = _run_fresh(_COLLECTOR_PROBE.format(
+        prelude=f"{prelude}\nsys.modules['itedist.reports'] = None"), [])
+    assert result.returncode == 0, result.stderr
+    before, after, imported = result.stdout.split()[-6:-3]
+    assert before == after == str(not prelude)
+    assert imported == "False"
 
 
 def test_package_names_are_their_submodules_objects():

@@ -297,6 +297,24 @@ class TestIngest:
         with pytest.raises(IngestError, match="missing column"):
             ingest_csv(path, ColumnMap("y", "d", "z"))
 
+    @pytest.mark.parametrize("header, column", [
+        ("y,d,z,x1,y", "y"), ("d,y,z,x1,d", "d"), ("z,y,d,x1,z,z", "z"),
+        ("y,d,z,x1,x1", "x1")])
+    def test_repeated_mapped_column_rejected(self, header, column, tmp_path):
+        # header.index would silently read the first of the repeated columns
+        count = header.split(",").count(column)
+        row = ",".join(["1"] * (header.count(",") + 1))
+        path = _write(tmp_path / "dup.csv", f"{header}\n{row}\n")
+        with pytest.raises(IngestError, match=rf"dup\.csv: column '{column}' appears "
+                                              rf"{count} times in the header"):
+            ingest_csv(path, ColumnMap("y", "d", "z", ("x1",)))
+
+    def test_repeated_unmapped_column_ignored(self, tmp_path):
+        path = _write(tmp_path / "extra.csv", "w,y,d,w,z,x1\n9,1.5,1,8,0,0\n7,2.0,0,6,1,0\n")
+        result = ingest_csv(path, ColumnMap("y", "d", "z", ("x1", "x1")))
+        assert result.sample.outcomes.tolist() == [1.5, 2.0]
+        assert result.sample.covariates.tolist() == [[0, 0], [0, 0]]
+
     def test_non_numeric_outcome(self, tmp_path):
         path = _write(tmp_path / "y.csv", "y,d,z\noops,1,0\n")
         with pytest.raises(IngestError, match=r"row 1.*'y'"):
