@@ -37,7 +37,7 @@ _EXPORTS = {
         "ucb_quantile_difference", "test_distributions",
         "two_group_quantile_replicates"),
     "benchmark_sim": (
-        "DgpConfig", "DgpOracle", "TheoryVariance", "GeneratedSample",
+        "DgpOracle", "TheoryVariance", "GeneratedSample",
         "CoverageReport", "StudyTarget", "VarianceGapReport", "GaussianDiagnostic",
         "generate", "true_ites", "theory_variance", "quantile_variance_gap",
         "run_coverage", "naive_ci_cdf", "gaussian_diagnostic"),

@@ -7,6 +7,9 @@ coordinate into a uniform rank, and sets
 * treatment ``D = 1(intercept + slope * Z + eta >= 0)`` with ``eta`` the
   selection rank and ``Z`` a fair-coin instrument.
 
+Module constants fix the population to the study design: latent correlation
+0.3, intercept -0.5, slope 0.5 and Pr[Z=1] = 0.5.
+
 The effect of treatment for an individual with rank ``e`` is
 ``e * (1 + e)^2``, a strictly increasing map on [0, 1], which makes every
 distributional quantity available in closed form.  The standard normal CDF
@@ -22,7 +25,7 @@ instead; here it serves as an oracle for validating the pipeline.
 Simulated quantile estimates and the pointwise percentile band of the
 coverage studies read their ranks through
 :func:`itedist.empirical_dist.order_statistics`, the rule every inference
-product uses, and the default level grid comes from ``make_grid``.
+product uses.
 """
 from __future__ import annotations
 
@@ -43,23 +46,18 @@ from .bootstrap_inference import (BootstrapConfig, BootstrapReplicates,
                                   ucb_quantile_constant, ucb_quantile_variable)
 from .counterfactual import pseudo_ites
 from .data_model import EstimabilityError, Sample, estimate_bounds
-from .empirical_dist import Grid, ecdf, make_grid, order_statistics
+from .empirical_dist import Grid, ecdf, order_statistics
 
 
-@dataclass(frozen=True)
-class DgpConfig:
-    """Benchmark-population parameters (defaults reproduce the study design)."""
+LATENT_CORRELATION = 0.3
+SELECTION_INTERCEPT = -0.5
+SELECTION_SLOPE = 0.5
+INSTRUMENT_PROB = 0.5
 
-    latent_correlation: float = 0.3
-    selection_intercept: float = -0.5
-    selection_slope: float = 0.5
-    instrument_prob: float = 0.5
-
-    def __post_init__(self):
-        if not abs(self.latent_correlation) < 1.0:
-            raise ValueError("latent correlation must lie strictly inside (-1, 1)")
-        if not 0.0 < self.instrument_prob < 1.0:
-            raise ValueError("instrument probability must lie in (0, 1)")
+# Treatment is taken iff the selection rank clears the threshold of the
+# row's instrument value; indexed by that value.
+_THRESHOLDS = (-SELECTION_INTERCEPT, -(SELECTION_INTERCEPT + SELECTION_SLOPE))
+_LATENT_SCALE = math.sqrt(1.0 - LATENT_CORRELATION ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,28 +71,23 @@ class GeneratedSample(FrozenArrays):
     sample: Sample
     outcome_rank: np.ndarray     # eps, uniform on [0, 1]
     selection_rank: np.ndarray   # eta, uniform on [0, 1]
-    config: DgpConfig
 
 
-def generate(n: int, rng: np.random.Generator,
-             config: DgpConfig = DgpConfig()) -> GeneratedSample:
+def generate(n: int, rng: np.random.Generator) -> GeneratedSample:
     """Draw a benchmark sample of size ``n`` (one covariate cell)."""
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     draws = rng.standard_normal((n, 3))
     u = draws[:, 0]
-    v = (config.latent_correlation * u
-         + math.sqrt(1.0 - config.latent_correlation ** 2) * draws[:, 1])
+    v = LATENT_CORRELATION * u + _LATENT_SCALE * draws[:, 1]
     eps = ndtr(u)
     eta = ndtr(v)
-    z = (draws[:, 2] > ndtri(1.0 - config.instrument_prob)).astype(np.int8)
-    d = (config.selection_intercept + config.selection_slope * z + eta
-         >= 0.0).astype(np.int8)
+    z = (draws[:, 2] > ndtri(1.0 - INSTRUMENT_PROB)).astype(np.int8)
+    d = (SELECTION_INTERCEPT + SELECTION_SLOPE * z + eta >= 0.0).astype(np.int8)
     y = (eps + 1.0) ** (2 + d)
     sample = Sample(outcomes=y, treatments=d, instruments=z,
                     covariates=np.zeros((n, 0), dtype=np.int64))
-    return GeneratedSample(sample=sample, outcome_rank=eps, selection_rank=eta,
-                           config=config)
+    return GeneratedSample(sample=sample, outcome_rank=eps, selection_rank=eta)
 
 
 def true_ites(generated: GeneratedSample) -> np.ndarray:
@@ -180,43 +173,30 @@ class TheoryVariance:
     ``quantile_*`` divide by the squared effect density at the quantile.
     """
 
-    def __init__(self, config: DgpConfig = DgpConfig(), oracle: DgpOracle | None = None):
-        self.config = config
-        self.oracle = oracle or DgpOracle()
-        # Treatment is taken iff the selection rank clears the arm threshold.
-        thr1 = -(config.selection_intercept + config.selection_slope)
-        thr0 = -config.selection_intercept
-        if not (0.0 <= thr1 < thr0 <= 1.0):
-            raise ValueError("selection thresholds must satisfy 0 <= thr(z=1) < thr(z=0) <= 1")
-        self._thresholds = (thr0, thr1)   # indexed by instrument value
-        self._latent_scale = math.sqrt(1.0 - config.latent_correlation ** 2)
-        self._pr_complier = thr0 - thr1
+    oracle = DgpOracle()
 
     # -- latent-structure ingredients ---------------------------------------
 
     def _complier_rank_density(self, e):
         """Density of the outcome rank among compliers."""
-        rho = self.config.latent_correlation
         u = ndtri(np.asarray(e, dtype=np.float64))
-        thr0, thr1 = self._thresholds
-        hi = (ndtri(thr0) - rho * u) / self._latent_scale
-        lo = (ndtri(thr1) - rho * u) / self._latent_scale
-        return (ndtr(hi) - ndtr(lo)) / self._pr_complier
+        thr0, thr1 = _THRESHOLDS
+        hi = (ndtri(thr0) - LATENT_CORRELATION * u) / _LATENT_SCALE
+        lo = (ndtri(thr1) - LATENT_CORRELATION * u) / _LATENT_SCALE
+        return (ndtr(hi) - ndtr(lo)) / (thr0 - thr1)
 
     def _treated_prob_given_rank(self, e):
         """Pr[treated | outcome rank]."""
-        rho = self.config.latent_correlation
         u = ndtri(np.asarray(e, dtype=np.float64))
-        p1 = self.config.instrument_prob
         total = np.zeros_like(u)
-        for z, pz in ((1, p1), (0, 1.0 - p1)):
-            cut = (ndtri(self._thresholds[z]) - rho * u) / self._latent_scale
+        for z, pz in ((1, INSTRUMENT_PROB), (0, 1.0 - INSTRUMENT_PROB)):
+            cut = (ndtri(_THRESHOLDS[z]) - LATENT_CORRELATION * u) / _LATENT_SCALE
             total = total + pz * (1.0 - ndtr(cut))
         return total
 
     def first_stage_gap(self, d: int) -> float:
         """Pr[D=d | Z=1] - Pr[D=d | Z=0]."""
-        thr0, thr1 = self._thresholds
+        thr0, thr1 = _THRESHOLDS
         gap_treated = thr0 - thr1    # (1 - thr1) - (1 - thr0)
         return gap_treated if d == 1 else -gap_treated
 
@@ -244,8 +224,7 @@ class TheoryVariance:
         rho_by_d = {1: p_treated * inv_slope, 0: (1.0 - p_treated) * inv_slope}
         omega = -(np.abs(rho_by_d[1]) / self._map_scale(0, e)
                   + np.abs(rho_by_d[0]) / self._map_scale(1, e))
-        p1 = self.config.instrument_prob
-        weight = 1.0 / p1 + 1.0 / (1.0 - p1)
+        weight = 1.0 / INSTRUMENT_PROB + 1.0 / (1.0 - INSTRUMENT_PROB)
         out = omega ** 2 * e * (1.0 - e) * weight
         return float(out) if np.isscalar(v) else out
 
@@ -260,11 +239,11 @@ class TheoryVariance:
         return self.cdf_estimation(q) / self.oracle.density(q) ** 2
 
 
-def theory_variance(tau: float, config: DgpConfig = DgpConfig()) -> tuple[float, float]:
+def theory_variance(tau: float) -> tuple[float, float]:
     """(sampling, estimation) components of the asymptotic quantile variance."""
     if not 0.0 < tau < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")
-    theory = TheoryVariance(config)
+    theory = TheoryVariance()
     return (float(theory.quantile_sampling(tau)), float(theory.quantile_estimation(tau)))
 
 
@@ -294,9 +273,7 @@ class VarianceGapReport:
         return tuple(g / t for g, t in zip(self.gap, self.theory))
 
 
-def quantile_variance_gap(taus, n: int, reps: int, seed: int,
-                          config: DgpConfig = DgpConfig(),
-                          threads: int = 1) -> VarianceGapReport:
+def quantile_variance_gap(taus, n: int, reps: int, seed: int) -> VarianceGapReport:
     """Simulate feasible and infeasible quantile estimators on common draws.
 
     Both estimators are evaluated on the same generated samples, so their
@@ -306,18 +283,18 @@ def quantile_variance_gap(taus, n: int, reps: int, seed: int,
     taus = tuple(float(t) for t in np.atleast_1d(taus))
 
     def one(k: int):
-        gen = generate(n, derive_stream(seed, k), config)
+        gen = generate(n, derive_stream(seed, k))
         bounds = estimate_bounds(gen.sample)
         feasible = np.sort(pseudo_ites(gen.sample, bounds).values)
         infeasible = np.sort(true_ites(gen))
         return order_statistics(feasible, taus), order_statistics(infeasible, taus)
 
-    results = parallel_map(one, range(reps), threads)
+    results = [one(k) for k in range(reps)]
     feasible = np.vstack([r[0] for r in results])
     infeasible = np.vstack([r[1] for r in results])
     var_f = n * feasible.var(axis=0, ddof=1)
     var_i = n * infeasible.var(axis=0, ddof=1)
-    theory = tuple(theory_variance(t, config)[1] for t in taus)
+    theory = tuple(theory_variance(t)[1] for t in taus)
     return VarianceGapReport(
         taus=taus, n=n, reps=reps,
         feasible_scaled_var=tuple(float(x) for x in var_f),
@@ -361,29 +338,28 @@ class GaussianDiagnostic(FrozenArrays):
 
 
 def gaussian_diagnostic(tau: float, n: int, reps: int, seed: int,
-                        config: DgpConfig = DgpConfig(), threads: int = 1,
-                        bins: int = 30) -> GaussianDiagnostic:
+                        threads: int = 1) -> GaussianDiagnostic:
     """Draw ``reps`` quantile estimates and standardize by the theory variance.
 
     If the limit law is right, the standardized draws are approximately
     standard normal; the mean/variance summary feeds the sanity gates and the
-    histogram feeds plotting.
+    30-bin histogram feeds plotting.
     """
     if reps < 30:
         raise ValueError("need at least 30 replications for a meaningful histogram")
     oracle = DgpOracle()
     truth = oracle.quantile(tau)
-    v1, v2 = theory_variance(tau, config)
+    v1, v2 = theory_variance(tau)
 
     def one(k: int) -> float:
-        gen = generate(n, derive_stream(seed, k), config)
+        gen = generate(n, derive_stream(seed, k))
         bounds = estimate_bounds(gen.sample)
         values = np.sort(pseudo_ites(gen.sample, bounds).values)
         return float(order_statistics(values, tau))
 
     estimates = np.array(parallel_map(one, range(reps), threads))
     standardized = (estimates - truth) * math.sqrt(n / (v1 + v2))
-    counts, edges = np.histogram(standardized, bins=bins)
+    counts, edges = np.histogram(standardized, bins=30)
     return GaussianDiagnostic(
         tau=float(tau), n=n, reps=reps, estimates=estimates,
         standardized=standardized, mean=float(standardized.mean()),
@@ -455,7 +431,7 @@ class CoverageReport:
     b_used: int
     n: int
     mc_se: float
-    failures: int = 0
+    failures: int
 
 
 def _truth(target: StudyTarget, oracle: DgpOracle) -> float | np.ndarray:
@@ -509,13 +485,14 @@ def _evaluate_target(target: StudyTarget, level: float,
 
 
 def run_coverage(targets, n: int, reps: int, levels, b: int, seed: int,
-                 config: DgpConfig = DgpConfig(), threads: int = 1,
-                 max_redraws: int = 100) -> list[CoverageReport]:
+                 threads: int = 1, max_redraws: int = 100) -> list[CoverageReport]:
     """Monte Carlo coverage study over the benchmark population.
 
     Each replication generates a fresh sample from a derived stream, fits the
     requested products, and scores them against the closed-form truth.
-    Deterministic given the master seed; replication failures are counted
+    Deterministic given the master seed.  A replication whose sample cannot
+    be fitted (an empty treatment arm or instrument margin, or a bootstrap
+    replication still degenerate after its redraws) is counted as a failure
     and excluded from the averages.
     """
     targets = list(targets)
@@ -527,9 +504,9 @@ def run_coverage(targets, n: int, reps: int, levels, b: int, seed: int,
     any_bootstrap = any(t.needs_bootstrap for t in targets)
 
     def one(k: int):
-        gen = generate(n, derive_stream(seed, k, 0), config)
-        bounds = estimate_bounds(gen.sample)
+        gen = generate(n, derive_stream(seed, k, 0))
         try:
+            bounds = estimate_bounds(gen.sample)
             if any_bootstrap:
                 cfg = BootstrapConfig(n_replications=b, seed=derive_seed(seed, k, 1),
                                       max_redraws=max_redraws)
@@ -589,11 +566,9 @@ def write_coverage_csv(reports, path) -> None:
                 *(f"{c.avg_length:.6g}" if c else "" for c in cps)])
 
 
-def write_variance_profile_csv(path, taus=None, config: DgpConfig = DgpConfig()) -> None:
-    """Emit the two quantile-variance components over a level grid."""
-    if taus is None:
-        taus = make_grid("levels", 0.1, 0.9, 81).points
-    theory = TheoryVariance(config)
+def write_variance_profile_csv(path, taus) -> None:
+    """Emit the two quantile-variance components over the levels ``taus``."""
+    theory = TheoryVariance()
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["tau", "quantile_var_sampling", "quantile_var_estimation"])

@@ -280,13 +280,14 @@ def _fit_chunk(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, chunk: rang
 
 
 def draw_replicates(sample: Sample, bounds: Bounds, cfg: BootstrapConfig, *,
-                    group: int = 0, threads: int = 1) -> BootstrapReplicates:
-    """Run all replications once; every product can be read off the result."""
+                    threads: int = 1) -> BootstrapReplicates:
+    """Run all replications once, keyed as group 0; every product can be read
+    off the result."""
     point_sorted = np.sort(pseudo_ites(sample.take(sample.row_order), bounds).values)
     sorted_values = np.empty((cfg.n_replications, sample.n))
 
     def one(chunk: range) -> int:
-        return _fit_chunk(sample, bounds, cfg, chunk, group,
+        return _fit_chunk(sample, bounds, cfg, chunk, 0,
                           sorted_values[chunk.start:chunk.stop])
 
     redraws = parallel_map(one, _chunks(cfg.n_replications, sample.n), threads)
@@ -509,12 +510,7 @@ def ucb_quantile_variable(reps: BootstrapReplicates, alpha: float,
 
 @dataclass(frozen=True, eq=False)
 class TwoGroupReplicates(FrozenArrays):
-    """Per-level quantiles for two independently resampled groups.
-
-    ``shift`` is a diagnostic offset added to group-1 effects (a location
-    shift of the effect distribution cannot be produced by shifting outcomes,
-    so synthetic power checks inject it here).
-    """
+    """Per-level quantiles for two independently resampled groups."""
 
     levels: np.ndarray
     estimate0: np.ndarray
@@ -524,7 +520,6 @@ class TwoGroupReplicates(FrozenArrays):
     iqr0: float
     iqr1: float
     redraws: tuple[int, int]
-    shift: float = 0.0
     # The level-free work of the bands and tests, by (grid, piece).
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -538,11 +533,11 @@ class TwoGroupReplicates(FrozenArrays):
 
     @property
     def delta(self) -> np.ndarray:
-        return (self.estimate1 + self.shift) - self.estimate0
+        return self.estimate1 - self.estimate0
 
     @property
     def delta_boot(self) -> np.ndarray:
-        return (self.boot1 + self.shift) - self.boot0
+        return self.boot1 - self.boot0
 
     def level_index(self, tau: float) -> int:
         pos = int(np.searchsorted(self.levels, tau))
@@ -555,7 +550,6 @@ def two_group_quantile_replicates(sample0: Sample, sample1: Sample,
                                   bounds0: Bounds, bounds1: Bounds,
                                   cfg: BootstrapConfig, levels, *,
                                   couple_streams: bool = False,
-                                  ite_shift: float = 0.0,
                                   threads: int = 1) -> TwoGroupReplicates:
     """Resample both groups independently and collect per-level quantiles.
 
@@ -593,8 +587,7 @@ def two_group_quantile_replicates(sample0: Sample, sample1: Sample,
         estimate1=order_statistics(point1, levels),
         boot0=boot0, boot1=boot1,
         iqr0=iqr(point0), iqr1=iqr(point1),
-        redraws=(sum(r[0] for r in redraws), sum(r[1] for r in redraws)),
-        shift=float(ite_shift))
+        redraws=(sum(r[0] for r in redraws), sum(r[1] for r in redraws)))
 
 
 def compare_quantiles(reps: TwoGroupReplicates, alpha: float,

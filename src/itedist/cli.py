@@ -372,7 +372,10 @@ def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
         if resolved["v-range"] is not None:
             value_grid = make_grid("values", *resolved["v-range"], resolved["grid-size"])
         else:
-            value_grid = default_value_grid(values, resolved["grid-size"])
+            try:
+                value_grid = default_value_grid(values, resolved["grid-size"])
+            except ValueError as exc:
+                raise ValueError(f"{exc}; give one with --v-range") from None
         cdf_band = (ucb_cdf_constant if resolved["band"] == "constant"
                     else ucb_cdf_variable)
         document.add_band(cdf_band(replicates, alpha, value_grid))
@@ -509,6 +512,8 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
 def cmd_oracle(resolved: dict) -> ReportDocument:
     from .benchmark_sim import DgpOracle, TheoryVariance
 
+    if resolved["format"] == "csv" and not resolved["output"]:
+        raise ConfigError("--format csv needs --output: without it the oracle prints JSON")
     oracle = DgpOracle()
     theory = TheoryVariance()
     estimates: dict[str, float] = {}
@@ -602,6 +607,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         sys.stderr.write(error_report(command, "io", str(exc)))
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(error_report(command, "memory", str(exc) or "out of memory"))
         return 1
     logger.info("%s finished in %.2fs", command, time.perf_counter() - started)
     return 0

@@ -378,10 +378,13 @@ class CellEstimability:
     flags: tuple[str, ...]
 
 
+# An instrument margin of a cell with fewer rows than this is flagged as thin.
+MIN_PER_GROUP = 10
+
+
 @dataclass(frozen=True)
 class EstimabilityReport:
     cells: tuple[CellEstimability, ...]
-    min_per_group: int
 
     @property
     def flagged(self) -> tuple[CellEstimability, ...]:
@@ -392,7 +395,7 @@ class EstimabilityReport:
         return not self.flagged
 
 
-def check_estimability(sample: Sample, min_per_group: int = 10) -> EstimabilityReport:
+def check_estimability(sample: Sample) -> EstimabilityReport:
     """Report per-cell margin counts, flagging thin or empty margins.
 
     This is a pure report; nothing is raised.  A first-stage warning is
@@ -411,8 +414,8 @@ def check_estimability(sample: Sample, min_per_group: int = 10) -> EstimabilityR
         for z in (0, 1):
             if n_z[z] == 0:
                 flags.append(f"no Z={z} observations")
-            elif n_z[z] < min_per_group:
-                flags.append(f"Z={z} margin below minimum ({n_z[z]} < {min_per_group})")
+            elif n_z[z] < MIN_PER_GROUP:
+                flags.append(f"Z={z} margin below minimum ({n_z[z]} < {MIN_PER_GROUP})")
         if n_z[0] > 0 and n_z[1] > 0:
             p1 = z1d1 / n_z[1]
             p0 = z0d1 / n_z[0]
@@ -422,7 +425,7 @@ def check_estimability(sample: Sample, min_per_group: int = 10) -> EstimabilityR
         records.append(CellEstimability(
             cell=cell, n_rows=sum(n_z), n_instrument=n_z, n_treatment=n_d,
             flags=tuple(flags)))
-    return EstimabilityReport(cells=tuple(records), min_per_group=min_per_group)
+    return EstimabilityReport(cells=tuple(records))
 
 
 def min_instrument_margin(sample: Sample) -> int:

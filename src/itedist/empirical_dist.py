@@ -136,10 +136,12 @@ def make_grid(kind: str, lo: float, hi: float, size: int) -> Grid:
 # The value grid when the caller gives no range spans the central 90% of the
 # estimated effects.
 DEFAULT_VALUE_QUANTILES = (0.05, 0.95)
-DEFAULT_GRID_SIZE = 161
 
 
-def default_value_grid(values, size: int = DEFAULT_GRID_SIZE) -> Grid:
+def default_value_grid(values, size: int) -> Grid:
     lo = quantile(values, DEFAULT_VALUE_QUANTILES[0])
     hi = quantile(values, DEFAULT_VALUE_QUANTILES[1])
+    if not lo < hi:
+        raise ValueError(f"the 5% and 95% quantiles of the effects coincide at {lo:g}, "
+                         "so no value grid spans them by default")
     return make_grid("values", lo, hi, size)

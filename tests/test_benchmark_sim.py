@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from itedist import (DgpConfig, DgpOracle, Sample, StudyTarget, TheoryVariance,
+from itedist import (DgpOracle, Sample, StudyTarget, TheoryVariance,
                      gaussian_diagnostic, generate, make_grid, naive_ci_cdf,
                      run_coverage, theory_variance, true_ites)
 from itedist._rng import derive_stream
@@ -44,10 +44,6 @@ class TestGenerate:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DgpConfig(latent_correlation=1.0)
-        with pytest.raises(ValueError):
-            DgpConfig(instrument_prob=0.0)
-        with pytest.raises(ValueError):
             generate(0, derive_stream(0, 0))
 
 
@@ -57,8 +53,7 @@ class TestTrueItes:
                         covariates=np.zeros((2, 0), dtype=int))
         gen = GeneratedSample(sample=sample,
                               outcome_rank=np.array([0.0, 1.0]),
-                              selection_rank=np.array([0.5, 0.5]),
-                              config=DgpConfig())
+                              selection_rank=np.array([0.5, 0.5]))
         assert true_ites(gen).tolist() == [0.0, 4.0]
 
     def test_midpoint(self):
@@ -162,7 +157,7 @@ class TestNaiveCi:
 
 class TestGaussianDiagnostic:
     def test_structure(self):
-        diag = gaussian_diagnostic(0.5, n=150, reps=40, seed=77, bins=12)
+        diag = gaussian_diagnostic(0.5, n=150, reps=40, seed=77)
         assert diag.estimates.shape == (40,)
         assert diag.bin_counts.sum() == 40
         assert np.isfinite(diag.mean) and np.isfinite(diag.variance)
@@ -190,6 +185,13 @@ class TestRunCoverage:
             assert report.mc_se == pytest.approx(
                 np.sqrt(report.coverage * (1 - report.coverage) / report.reps))
             assert report.n == 120 and report.reps == 5
+
+    def test_sample_with_an_empty_treatment_arm_counts_as_a_failure(self):
+        # One of the 30 samples of 12 rows holds no untreated row, so its
+        # bounds cannot be estimated; the study keeps the other 29.
+        (report,) = run_coverage([StudyTarget(kind="cdf-ci", v=2.0)], n=12, reps=30,
+                                 levels=[0.9], b=20, seed=1)
+        assert report.failures == 1 and report.reps == 29
 
     def test_band_targets_run(self):
         grid_v = make_grid("values", 0.1, 3.8, 15)
@@ -305,7 +307,7 @@ class TestCsvWriters:
         assert float(mid[1]) == pytest.approx(3.515625)
 
     def test_diagnostic_csv(self, tmp_path):
-        diag = gaussian_diagnostic(0.5, n=120, reps=35, seed=35, bins=8)
+        diag = gaussian_diagnostic(0.5, n=120, reps=35, seed=35)
         path = tmp_path / "diag.csv"
         write_diagnostic_csv(diag, path)
         with open(path) as handle:

@@ -1,6 +1,7 @@
 """Bootstrap engine, percentile intervals, uniform bands, two-group tests."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from unittest import mock
@@ -241,11 +242,11 @@ class TestChunkedReplicates:
         rows = (bootstrap_inference._CHUNK_ROWS if chunk_reps is None
                 else chunk_reps * sample.n)
         with mock.patch.object(bootstrap_inference, "_CHUNK_ROWS", rows):
-            reps = draw_replicates(sample, bounds, cfg, group=1)
+            reps = draw_replicates(sample, bounds, cfg)
         redraws = 0
         for r in range(b):
             for attempt in range(cfg.max_redraws + 1):
-                draw = resample(sample, derive_stream(seed, r, 1, attempt))
+                draw = resample(sample, derive_stream(seed, r, 0, attempt))
                 if min_instrument_margin(draw) >= 2:
                     break
             redraws += attempt
@@ -664,12 +665,41 @@ class TestTwoGroup:
         s0, b0, _, _ = groups
         grid = make_grid("levels", 0.2, 0.8, 7)
         cfg = BootstrapConfig(n_replications=60, seed=19)
-        reps = two_group_quantile_replicates(s0, s0, b0, b0, cfg, grid.points,
-                                             ite_shift=2.5)
+        reps = two_group_quantile_replicates(s0, s0, b0, b0, cfg, grid.points)
+        # a location shift of the effects, which no shift of outcomes gives
+        reps = dataclasses.replace(reps, estimate1=reps.estimate1 + 2.5,
+                                   boot1=reps.boot1 + 2.5)
         equality = distribution_test(reps, 0.05, grid, "equality")
         shift = distribution_test(reps, 0.05, grid, "location-shift")
         assert equality.reject       # pure location alternative
         assert not shift.reject      # removed by centering
+
+    def test_stream_keys_by_group(self):
+        # Group 0 draws with (seed, r, 0, attempt) and group 1 with (seed, r,
+        # 1, attempt); coupled, both groups draw with group 0's keys.
+        s = tiny_margin_sample(4)
+        bounds = estimate_bounds(s)
+        cfg = BootstrapConfig(n_replications=8, seed=7, max_redraws=10)
+        levels = [0.25, 0.5, 0.75]
+        expected = {0: [], 1: []}
+        for group in (0, 1):
+            for r in range(cfg.n_replications):
+                for attempt in range(cfg.max_redraws + 1):
+                    expected[group].append((7, r, group, attempt))
+                    draw = resample(s, derive_stream(7, r, group, attempt))
+                    if min_instrument_margin(draw) >= 2:
+                        break
+        assert len(expected[0]) != len(expected[1])   # the groups redraw differently
+        keys = []
+        with recording_stream_keys(keys):
+            two_group_quantile_replicates(s, s, bounds, bounds, cfg, levels)
+        assert Counter(keys) == Counter(expected[0] + expected[1])
+        keys = []
+        with recording_stream_keys(keys):
+            reps = two_group_quantile_replicates(s, s, bounds, bounds, cfg, levels,
+                                                 couple_streams=True)
+        assert Counter(keys) == Counter(2 * expected[0])
+        assert np.array_equal(reps.boot0, reps.boot1)
 
     def test_two_group_determinism_across_threads(self, groups):
         s0, b0, s1, b1 = groups

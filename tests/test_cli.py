@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from itedist import generate, sample_to_csv
 from itedist._rng import derive_stream
@@ -159,6 +161,38 @@ class TestAnalyze:
         assert err["error"] == "data"
         assert err["message"] == f"{src}: column 'y' appears 2 times in the header"
         assert not (tmp_path / "x.json").exists()
+
+    def test_constant_outcomes_leave_no_default_value_grid(self, tmp_path, capsys):
+        # Every effect is 0, so the 5% and 95% quantiles that would span the
+        # default value grid coincide.
+        src = tmp_path / "flat.csv"
+        src.write_text("y,d,z\n" + "".join(f"5.0,{i % 2},{i // 2 % 2}\n" for i in range(24)))
+        out = tmp_path / "x.json"
+        code = run_cli("analyze", "--input", str(src), "--bootstrap", "5",
+                       "--report", "bands", "--output", str(out))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data"
+        assert "5% and 95% quantiles of the effects coincide" in err["message"]
+        assert "--v-range" in err["message"]
+        assert not out.exists()
+
+    def test_memory_error_is_memory_document(self, bench_csv, tmp_path, capsys,
+                                             monkeypatch):
+        import itedist.cli
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.84 PiB")
+
+        monkeypatch.setattr(itedist.cli, "draw_replicates", out_of_memory)
+        out = tmp_path / "x.json"
+        code = run_cli("analyze", "--input", str(bench_csv), "--bootstrap", "10",
+                       "--output", str(out))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"command": "analyze", "error": "memory",
+                       "message": "Unable to allocate 2.84 PiB"}
+        assert not out.exists()
 
     def test_ingest_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -378,6 +412,13 @@ class TestOracle:
 
     def test_no_queries(self):
         assert run_cli("oracle") == 2
+
+    def test_csv_format_needs_output(self, capsys):
+        assert run_cli("oracle", "--tau", "0.5", "--format", "csv") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "config" and "--output" in err["message"]
 
 
 class TestReproducibility:
@@ -810,3 +851,59 @@ def test_threads_stay_out_of_config_and_report(bench_csv, tmp_path):
     out = tmp_path / "o.json"
     assert run_cli("oracle", "--tau", "0.5", "--threads", "2", "--output", str(out)) == 0
     assert "threads" not in json.loads(out.read_text())["reproducibility"]
+
+
+# Fields that no clean file holds: bad binaries and codes, non-finite and
+# out-of-range numbers, hex, blanks and text.
+_HOSTILE_FIELDS = ("", " ", "nan", "inf", "-inf", "1e400", "-1e400", "0x1", "2", "-1",
+                   "0.5", "abc", "99999999999999999999", "-99999999999999999999")
+
+
+@st.composite
+def hostile_csvs(draw):
+    """Rows of (y, d, z, x), every (d, z) pair at least twice in each cell of
+    x, plus random rows, then a few corrupted fields, a short row, a changed
+    header or nothing at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(["", "\n", "y,d,z,x\n"]))
+    outcome = st.one_of(st.integers(-3, 3).map(str),
+                        st.floats(-1.7e308, 1.7e308, allow_nan=False).map(repr))
+    rows = [[draw(outcome), d, z, x]
+            for x in draw(st.sampled_from([["0"], ["0", "1"], ["2"]]))
+            for _ in range(draw(st.integers(2, 3)))
+            for d, z in (("0", "0"), ("1", "1"), ("0", "1"), ("1", "0"))]
+    rows += draw(st.lists(st.tuples(outcome, st.sampled_from("01"), st.sampled_from("01"),
+                                    st.sampled_from("012")).map(list), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(0, 3))] = draw(st.sampled_from(_HOSTILE_FIELDS))
+    if draw(st.integers(0, 3)) == 0:
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row] = rows[row][:draw(st.integers(0, 3))]
+    header = draw(st.sampled_from(["y,d,z,x"] * 6 + ["y,d,x", "y,d,z,x,x", "y;d;z;x"]))
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+@given(text=hostile_csvs(),
+       selector=st.sampled_from(["", "x=0", "x>0", "x<=1", "w=1", "x=a", "x>>1",
+                                 "x=99999999999999999999", ",", "x=1,x=2"]))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_hostile_input_ends_in_report_or_error_document(text, selector, tmp_path, capsys):
+    # Whatever the file and selector, analyze writes its report or ends in a
+    # structured error document; it never ends in a traceback.
+    src = tmp_path / "hostile.csv"
+    src.write_text(text)
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    code = run_cli("analyze", "--input", str(src), "--covariate-cols", "x",
+                   "--group", selector, "--bootstrap", "2", "--grid-size", "5",
+                   "--report", "prob-positive,quantile,iqr,cdf,bands",
+                   "--output", str(out))
+    err = capsys.readouterr().err
+    if code == 0:
+        jsonschema.validate(json.loads(out.read_text()), REPORT_SCHEMA)
+    else:
+        doc = json.loads(err)
+        assert doc["command"] == "analyze" and not out.exists()
+        assert (code, doc["error"]) in ((2, "config"), (1, "data"), (1, "io"))

@@ -494,7 +494,7 @@ class TestEstimability:
         s = Sample(outcomes=np.arange(24.0), treatments=[0, 1] * 12,
                    instruments=[0] * 12 + [1] * 12,
                    covariates=np.zeros((24, 0), dtype=int))
-        report = check_estimability(s, min_per_group=1)
+        report = check_estimability(s)
         # first stage is flat here, which is a warning, not a margin flag
         assert not any("margin" in f or "no Z" in f for f in report.cells[0].flags)
 
@@ -503,7 +503,7 @@ class TestEstimability:
         d = np.where(z == 0, 1, 0)   # instrument pushes the wrong way
         s = Sample(outcomes=np.arange(20.0), treatments=d, instruments=z,
                    covariates=np.zeros((20, 0), dtype=int))
-        report = check_estimability(s, min_per_group=1)
+        report = check_estimability(s)
         assert any("first stage" in f for f in report.cells[0].flags)
 
     def test_benchmark_clean_at_n250(self):

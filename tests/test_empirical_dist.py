@@ -169,6 +169,6 @@ class TestGrid:
 
     def test_defaults(self):
         values = np.linspace(0.0, 10.0, 500)
-        value_grid = default_value_grid(values)
+        value_grid = default_value_grid(values, 161)
         assert value_grid.points[0] == quantile(values, 0.05)
         assert value_grid.points[-1] == quantile(values, 0.95)

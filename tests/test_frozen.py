@@ -36,7 +36,7 @@ HOLDERS = {
     "BandResult": lambda bench: ucb_quantile_variable(
         _replicates(bench), 0.1, make_grid("levels", 0.2, 0.8, 7)),
     "TwoGroupReplicates": _two_group,
-    "GaussianDiagnostic": lambda bench: gaussian_diagnostic(0.5, 60, 30, seed=5, bins=5),
+    "GaussianDiagnostic": lambda bench: gaussian_diagnostic(0.5, 60, 30, seed=5),
 }
 
 
