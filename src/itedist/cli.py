@@ -273,18 +273,38 @@ def _column_map(resolved: dict) -> ColumnMap:
                      covariates=tuple(resolved["covariate-cols"]))
 
 
-def _selector(expression: str, columns) -> GroupSelector:
+def _groups(resolved: dict, labels: dict) -> list:
+    """Sample and bounds of the group each selector flag in ``labels`` picks;
+    ``labels`` maps it to the label of its warnings.  Every selector is parsed
+    before the input is read."""
     try:
-        return GroupSelector.parse(expression, columns)
+        selectors = [GroupSelector.parse(resolved[flag], resolved["covariate-cols"])
+                     for flag in labels]
     except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _warn_estimability(sample, label: str) -> None:
-    report = check_estimability(sample)
-    for cell in report.flagged:
-        for flag in cell.flags:
-            logger.warning("%s: cell x=%s: %s", label, cell.cell, flag)
+        raise ConfigError(str(exc)) from None
+    ingest = ingest_csv(resolved["input"], _column_map(resolved))
+    if ingest.label_codes:
+        output = Path(resolved["output"])
+        side = output.with_name(output.stem + "_labels.json")
+        write_label_codes(ingest.label_codes, side)
+        logger.info("label codes written to %s", side)
+    if len(selectors) == 2 and not selectors[0].disjoint_on(selectors[1], ingest.sample):
+        raise ConfigError(
+            f"group selectors overlap: {resolved['group0']!r} and {resolved['group1']!r} "
+            "must pick disjoint covariate cells")
+    samples = []
+    for flag, selector in zip(labels, selectors):
+        try:
+            samples.append(select_group(ingest.sample, selector) if resolved[flag]
+                           else ingest.sample)
+        except EmptySelectionError:
+            raise EmptySelectionError(
+                f"--{flag} {resolved[flag]!r} matches no observation") from None
+    for sample, label in zip(samples, labels.values()):
+        for cell in check_estimability(sample).flagged:
+            for flag in cell.flags:
+                logger.warning("%s: cell x=%s: %s", label, cell.cell, flag)
+    return [(sample, estimate_bounds(sample)) for sample in samples]
 
 
 def _repro_block(command: str, resolved: dict) -> dict:
@@ -322,18 +342,7 @@ def _write_document(document: ReportDocument, resolved: dict) -> None:
 def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
     _warn_small_bootstrap(resolved["bootstrap"], resolved["alpha"])
 
-    ingest = ingest_csv(resolved["input"], _column_map(resolved))
-    if ingest.label_codes:
-        side = Path(resolved["output"]).with_name(
-            Path(resolved["output"]).stem + "_labels.json")
-        write_label_codes(ingest.label_codes, side)
-        logger.info("label codes written to %s", side)
-    sample = ingest.sample
-    if resolved["group"]:
-        sample = select_group(sample, _selector(resolved["group"],
-                                                resolved["covariate-cols"]))
-    _warn_estimability(sample, "analyze")
-    bounds = estimate_bounds(sample)
+    [(sample, bounds)] = _groups(resolved, {"group": "analyze"})
     cfg = BootstrapConfig(n_replications=resolved["bootstrap"], seed=resolved["seed"],
                           max_redraws=resolved["max-redraws"])
     replicates = draw_replicates(sample, bounds, cfg, threads=threads)
@@ -389,20 +398,8 @@ def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
 def cmd_compare(resolved: dict, threads: int) -> ReportDocument:
     _warn_small_bootstrap(resolved["bootstrap"], resolved["alpha"])
 
-    ingest = ingest_csv(resolved["input"], _column_map(resolved))
-    columns = resolved["covariate-cols"]
-    sel0 = _selector(resolved["group0"], columns)
-    sel1 = _selector(resolved["group1"], columns)
-    if not sel0.disjoint_on(sel1, ingest.sample):
-        raise ConfigError(
-            f"group selectors overlap: {resolved['group0']!r} and {resolved['group1']!r} "
-            "must pick disjoint covariate cells")
-    sample0 = select_group(ingest.sample, sel0)
-    sample1 = select_group(ingest.sample, sel1)
-    _warn_estimability(sample0, "group0")
-    _warn_estimability(sample1, "group1")
-    bounds0 = estimate_bounds(sample0)
-    bounds1 = estimate_bounds(sample1)
+    (sample0, bounds0), (sample1, bounds1) = _groups(
+        resolved, {"group0": "group0", "group1": "group1"})
 
     grid = make_grid("levels", *resolved["tau-range"], resolved["grid-size"])
     taus = [float(t) for t in resolved["tau"]]

@@ -63,6 +63,7 @@ arithmetic over the candidates its edges span, scaled by their smallest
 power of two (floats are dyadic rationals), so exact work grows with the
 doubtful windows, not with the problem.  Flat segments and exact ties
 therefore always resolve to their leftmost point.
+:func:`objective_value` sums the objective over a context's rows directly;
 :func:`minimize_objective` calls the same kernel with one problem and one
 query.
 
@@ -92,49 +93,20 @@ def sign_left(u):
     return np.where(u > 0, 1, -1)
 
 
-def _prefix_sums(sorted_values: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(sorted_values) + 1, dtype=np.float64)
-    np.cumsum(sorted_values, out=out[1:])
-    return out
-
-
-def _abs_sum(sorted_values: np.ndarray, prefix: np.ndarray, t):
-    """Sum of |value - t| over the group via binary search and prefix sums.
-
-    ``t`` may be a scalar or an array.
-    """
-    m = len(sorted_values)
-    k = np.searchsorted(sorted_values, t, side="right")
-    return (t * k - prefix[k]) + ((prefix[m] - prefix[k]) - t * (m - k))
-
-
-def _sign_sum(sorted_values: np.ndarray, y):
-    """Sum of sign_left(value - y) over the group; ties at y count as -1."""
-    m = len(sorted_values)
-    return m - 2 * np.searchsorted(sorted_values, y, side="right")
-
-
 @dataclass(frozen=True, eq=False)
 class ObjectiveContext(FrozenArrays):
-    """Preprocessed arrays for one (cell, target treatment) objective.
+    """The rows of one (cell, target treatment) objective.
 
     ``match`` refers to the instrument arm equal to the target treatment,
-    ``other`` to the opposite arm.  ``abs_*`` hold the sorted outcomes of the
-    treatment-``target`` rows (the absolute-deviation groups) with prefix
-    sums; ``sgn_*`` hold the sorted outcomes of the remaining rows (the sign
-    groups).  Row-level arrays allow leave-one-out queries by row id.
+    ``other`` to the opposite arm; ``n_match``/``n_other`` are their row
+    counts.  The row-level arrays hold the cell's sample row ids, outcomes,
+    treatments and instruments, so leave-one-out queries go by row id.
     """
 
     cell: Cell
     target: int
     lower: float
     upper: float
-    abs_match: np.ndarray
-    abs_match_prefix: np.ndarray
-    abs_other: np.ndarray
-    abs_other_prefix: np.ndarray
-    sgn_match: np.ndarray
-    sgn_other: np.ndarray
     n_match: int
     n_other: int
     row_ids: np.ndarray
@@ -142,26 +114,18 @@ class ObjectiveContext(FrozenArrays):
     row_d: np.ndarray
     row_z: np.ndarray
 
-    def _locate(self, i: int) -> int:
-        pos = int(np.searchsorted(self.row_ids, i))
-        if pos >= len(self.row_ids) or self.row_ids[pos] != i:
-            raise ValueError(f"row {i} does not belong to cell x={self.cell}")
-        return pos
-
 
 def build_context(sample: Sample, cell: Cell, d: int, bounds: Bounds) -> ObjectiveContext:
     """Objective context for the map onto treatment ``d`` within ``cell``.
 
-    Requires both instrument arms of the cell to be populated; evaluation and
-    sign sums then cost O(log n_x) per query via binary search.
+    Requires both instrument arms of the cell to be populated; each
+    evaluation then sums over the cell's rows.
     """
     if d not in (0, 1):
         raise ValueError(f"target treatment must be 0 or 1, got {d}")
     if cell not in sample.cell_index:
         raise ValueError(f"cell x={cell} not present in the sample")
     rows = sample.cell_index[cell]
-    y = sample.outcomes[rows]
-    dv = sample.treatments[rows]
     zv = sample.instruments[rows]
     n_match = int((zv == d).sum())
     n_other = len(rows) - n_match
@@ -169,44 +133,30 @@ def build_context(sample: Sample, cell: Cell, d: int, bounds: Bounds) -> Objecti
         raise EstimabilityError(
             f"cell x={cell} has an empty instrument arm "
             f"(z-counts: {n_match} with z={d}, {n_other} with z={1 - d})")
-    abs_mask = dv == d
-    abs_match = np.sort(y[abs_mask & (zv == d)])
-    abs_other = np.sort(y[abs_mask & (zv != d)])
     lo, hi = bounds.for_group(d, cell)
     return ObjectiveContext(
         cell=cell, target=d, lower=float(lo), upper=float(hi),
-        abs_match=abs_match, abs_match_prefix=_prefix_sums(abs_match),
-        abs_other=abs_other, abs_other_prefix=_prefix_sums(abs_other),
-        sgn_match=np.sort(y[~abs_mask & (zv == d)]),
-        sgn_other=np.sort(y[~abs_mask & (zv != d)]),
-        n_match=n_match, n_other=n_other,
-        row_ids=rows, row_y=y, row_d=dv, row_z=zv)
+        n_match=n_match, n_other=n_other, row_ids=rows, row_y=sample.outcomes[rows],
+        row_d=sample.treatments[rows], row_z=zv)
 
 
 def _loo_signs(ctx: ObjectiveContext, i, y):
-    """Sign sums at ``y`` and instrument-arm sizes after removing row ``i``.
+    """Rows kept, sign sums at ``y`` and instrument-arm sizes after removing row ``i``.
 
-    Returns ``(g_match, g_other, n_match, n_other)``; ``i`` may be None.
+    Returns ``(keep, g_match, g_other, n_match, n_other)``, ``keep`` a mask of
+    the context's rows; ``i`` may be None, which keeps every row.
     """
-    g_match = _sign_sum(ctx.sgn_match, y)
-    g_other = _sign_sum(ctx.sgn_other, y)
-    n_match, n_other = ctx.n_match, ctx.n_other
-    if i is not None:
-        pos = ctx._locate(i)
-        in_match = int(ctx.row_z[pos]) == ctx.target
-        if in_match:
-            n_match -= 1
-        else:
-            n_other -= 1
-        if int(ctx.row_d[pos]) != ctx.target:
-            if in_match:
-                g_match = g_match - sign_left(ctx.row_y[pos] - y)
-            else:
-                g_other = g_other - sign_left(ctx.row_y[pos] - y)
+    keep = np.ones(len(ctx.row_ids), dtype=bool) if i is None else ctx.row_ids != i
+    if keep.all() and i is not None:
+        raise ValueError(f"row {i} does not belong to cell x={ctx.cell}")
+    in_match = ctx.row_z == ctx.target
+    n_match = ctx.n_match - int(np.count_nonzero(~keep & in_match))
+    n_other = ctx.n_other - int(np.count_nonzero(~keep & ~in_match))
     if n_match < 1 or n_other < 1:
         raise EstimabilityError(
             f"removing row {i} empties an instrument arm of cell x={ctx.cell}")
-    return g_match, g_other, n_match, n_other
+    signs = np.where(keep & (ctx.row_d != ctx.target), sign_left(ctx.row_y - y), 0)
+    return keep, int(signs[in_match].sum()), int(signs[~in_match].sum()), n_match, n_other
 
 
 def objective_value(ctx: ObjectiveContext, i, t: float, y: float) -> float:
@@ -218,16 +168,10 @@ def objective_value(ctx: ObjectiveContext, i, t: float, y: float) -> float:
     if not ctx.lower <= t <= ctx.upper:
         raise ValueError(
             f"t={t} outside the outcome bounds [{ctx.lower}, {ctx.upper}]")
-    g_match, g_other, n_match, n_other = _loo_signs(ctx, i, y)
-    s_match = _abs_sum(ctx.abs_match, ctx.abs_match_prefix, t)
-    s_other = _abs_sum(ctx.abs_other, ctx.abs_other_prefix, t)
-    if i is not None:
-        pos = ctx._locate(i)
-        if int(ctx.row_d[pos]) == ctx.target:
-            if int(ctx.row_z[pos]) == ctx.target:
-                s_match = s_match - np.abs(ctx.row_y[pos] - t)
-            else:
-                s_other = s_other - np.abs(ctx.row_y[pos] - t)
+    keep, g_match, g_other, n_match, n_other = _loo_signs(ctx, i, y)
+    deviations = np.where(keep & (ctx.row_d == ctx.target), np.abs(ctx.row_y - t), 0.0)
+    in_match = ctx.row_z == ctx.target
+    s_match, s_other = deviations[in_match].sum(), deviations[~in_match].sum()
     return float((s_match - g_match * t) / n_match - (s_other - g_other * t) / n_other)
 
 
@@ -239,10 +183,8 @@ def minimize_objective(ctx: ObjectiveContext, i, y: float) -> float:
     attained on those kinks or the interval endpoints; the smallest exact
     minimizer among them is returned.
     """
-    g_match, g_other, n_match, n_other = _loo_signs(ctx, i, y)
-    keep = ctx.row_d == ctx.target
-    if i is not None:
-        keep = keep & (ctx.row_ids != i)
+    keep, g_match, g_other, n_match, n_other = _loo_signs(ctx, i, y)
+    keep &= ctx.row_d == ctx.target
     values = np.concatenate((ctx.row_y[keep], [ctx.lower, ctx.upper]))
     in_match = np.concatenate((ctx.row_z[keep] == ctx.target, [False, False]))
     in_other = np.concatenate((ctx.row_z[keep] != ctx.target, [False, False]))
@@ -250,7 +192,7 @@ def minimize_objective(ctx: ObjectiveContext, i, y: float) -> float:
     values = values[order]
     group = np.zeros(len(values), dtype=np.intp)
     one = np.zeros(1, dtype=np.intp)
-    k = np.array([n_match * int(g_other) - n_other * int(g_match)], dtype=np.int64)
+    k = np.array([n_match * g_other - n_other * g_match], dtype=np.int64)
     chains = _chains(values, group, _run_ends(group, values),
                      _arm_balance(group, in_match[order], 1),
                      _arm_balance(group, in_other[order], 1), np.array([ctx.lower]),
@@ -543,13 +485,12 @@ def _smallest_minimizers(chains, q_problem, k) -> np.ndarray:
 class PseudoIteVector(FrozenArrays):
     """Estimated treatment effects aligned with sample rows.
 
-    ``map_treatment[i]`` is the treatment the counterfactual map produced
-    (the opposite of the row's own treatment) and ``minimizers[i]`` the
-    minimizer found, always inside its group's outcome bounds.
+    ``minimizers[i]`` is the minimizer found for row ``i`` by the map onto
+    the opposite of its own treatment, always inside that group's outcome
+    bounds.
     """
 
     values: np.ndarray
-    map_treatment: np.ndarray
     minimizers: np.ndarray
 
     def __len__(self) -> int:
@@ -647,8 +588,6 @@ def pseudo_ites(sample: Sample, bounds: Bounds) -> PseudoIteVector:
 
     effects = np.empty(n, dtype=np.float64)
     effects[src] = np.where(target == 1, phi - y[src], y[src] - phi)
-    maps = np.empty(n, dtype=np.int8)
-    maps[src] = target
     minimizers = np.empty(n, dtype=np.float64)
     minimizers[src] = phi
-    return PseudoIteVector(values=effects, map_treatment=maps, minimizers=minimizers)
+    return PseudoIteVector(values=effects, minimizers=minimizers)

@@ -466,7 +466,6 @@ class IngestResult:
     """
 
     sample: Sample
-    column_map: ColumnMap
     label_codes: dict[str, dict[str, int]]
 
 
@@ -662,7 +661,7 @@ def ingest_csv(path, column_map: ColumnMap) -> IngestResult:
     del indexes, ids
     sample = Sample(outcomes=np.concatenate(outcomes), treatments=np.concatenate(treatments),
                     instruments=np.concatenate(instruments), covariates=coded)
-    return IngestResult(sample=sample, column_map=column_map, label_codes=label_codes)
+    return IngestResult(sample=sample, label_codes=label_codes)
 
 
 def sample_to_csv(sample: Sample, path, column_map: ColumnMap | None = None) -> None:

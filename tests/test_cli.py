@@ -47,6 +47,17 @@ def split_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def labeled_csv(split_csv, tmp_path_factory):
+    """``split_csv`` with its groups labelled ``north`` (0) and ``south`` (1)."""
+    path = tmp_path_factory.mktemp("cli") / "labeled.csv"
+    header, *rows = split_csv.read_text().splitlines()
+    names = {"0": "north", "1": "south"}
+    path.write_text("".join(f"{line}\n" for line in [header, *(
+        f"{head},{names[code]}" for head, code in (row.rsplit(",", 1) for row in rows))]))
+    return path
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
 
@@ -295,6 +306,50 @@ class TestCompare:
                        "grp", "--group0", "grp<=1", "--group1", "grp=1",
                        "--bootstrap", "20", "--output", str(tmp_path / "x.json"))
         assert code == 2
+
+    def test_label_side_file(self, labeled_csv, tmp_path):
+        out = tmp_path / "cmp.json"
+        code = run_cli("compare", "--input", str(labeled_csv), "--covariate-cols", "grp",
+                       "--group0", "grp=0", "--group1", "grp=1", "--bootstrap", "10",
+                       "--grid-size", "5", "--output", str(out))
+        assert code == 0 and out.exists()
+        side = json.loads((tmp_path / "cmp_labels.json").read_text())
+        assert side == {"grp": {"north": 0, "south": 1}}
+
+
+_SELECTORS = {"analyze": {"group": "grp=0"}, "compare": {"group0": "grp=0", "group1": "grp=1"}}
+
+
+def _selector_argv(command, flag, text, source, output) -> list[str]:
+    groups = {**_SELECTORS[command], flag: text}
+    return [command, "--input", str(source), "--covariate-cols", "grp", "--bootstrap", "10",
+            *(arg for key, value in groups.items() for arg in (f"--{key}", value)),
+            "--output", str(output)]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("analyze", "group"), ("compare", "group0"), ("compare", "group1")])
+def test_bad_selector_rejected_before_ingest(command, flag, labeled_csv, tmp_path, capsys,
+                                             monkeypatch):
+    import itedist.cli
+    monkeypatch.setattr(itedist.cli, "ingest_csv", _unreachable)
+    code = run_cli(*_selector_argv(command, flag, "nope=1", labeled_csv, tmp_path / "x.json"))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "'nope'" in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("analyze", "group", "grp=0,grp=1"), ("analyze", "group", "grp=99999999999999999999"),
+    ("compare", "group1", "grp=7")])
+def test_empty_selection_names_flag_and_text(command, flag, text, split_csv, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run_cli(*_selector_argv(command, flag, text, split_csv, out)) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "command": command, "error": "data",
+        "message": f"--{flag} {text!r} matches no observation"}
+    assert not out.exists()
 
 
 class TestSimulate:

@@ -138,7 +138,7 @@ class TestObjectiveValue:
         ctx = build_context(toy_sample, (), 1, bounds)
         assert objective_value(ctx, None, 3.0, 3.0) == pytest.approx(-3.0, abs=1e-12)
 
-    def test_hand_abs_sum(self):
+    def test_hand_deviation_sum(self):
         # cell outcomes (D=d, Z=d) = {1, 3}: sum |Y - 2| = 2
         s = Sample(outcomes=[1.0, 3.0, 0.0], treatments=[1, 1, 0],
                    instruments=[1, 1, 0], covariates=np.zeros((3, 0), dtype=int))
@@ -147,7 +147,7 @@ class TestObjectiveValue:
         # single z=0 row with D=0: arm value is -sign(0 - y) * t / 1 = +t at y > 0
         assert objective_value(ctx, None, 2.0, 5.0) == pytest.approx(2.0 / 2 - 2.0)
 
-    def test_sign_sum_with_tie(self):
+    def test_sign_total_with_tie(self):
         # group {1, 2, 4} at y=2: -1 - 1 + 1 = -1 (tie counts as -1)
         group = np.array([1.0, 2.0, 4.0])
         assert int(np.sum(sign_left(group - 2.0))) == -1
@@ -163,8 +163,11 @@ class TestObjectiveValue:
                    instruments=[1, 0, 0], covariates=np.zeros((3, 0), dtype=int))
         bounds = estimate_bounds(s)
         ctx = build_context(s, (), 1, bounds)
-        with pytest.raises(EstimabilityError):
-            objective_value(ctx, 0, 1.5, 2.0)   # row 0 is the only z=1 row
+        # row 0 is the only z=1 row
+        with pytest.raises(EstimabilityError, match="removing row 0 empties an instrument arm"):
+            objective_value(ctx, 0, 1.5, 2.0)
+        with pytest.raises(EstimabilityError, match="removing row 0 empties an instrument arm"):
+            minimize_objective(ctx, 0, 2.0)
 
     def test_row_not_in_cell(self, two_cell_sample):
         bounds = estimate_bounds(two_cell_sample)
@@ -531,7 +534,6 @@ class TestPseudoItes:
                 assert vec.minimizers[i] == tstar
                 expected = (tstar - s.outcomes[i]) if d == 1 else (s.outcomes[i] - tstar)
                 assert vec.values[i] == expected
-                assert vec.map_treatment[i] == d
 
     def test_minimizers_inside_bounds(self, bench_small):
         gen, bounds = bench_small
@@ -593,7 +595,7 @@ class TestPseudoItes:
         # each cell's rows were solved against that cell's own bounds
         for cell, rows in two_cell_sample.cell_index.items():
             for i in rows:
-                d = int(vec.map_treatment[i])
+                d = 1 - int(two_cell_sample.treatments[i])
                 lo, hi = bounds.for_group(d, cell)
                 assert lo - 1e-12 <= vec.minimizers[i] <= hi + 1e-12
 
