@@ -62,15 +62,14 @@ _LATENT_SCALE = math.sqrt(1.0 - LATENT_CORRELATION ** 2)
 
 @dataclass(frozen=True, eq=False)
 class GeneratedSample(FrozenArrays):
-    """A benchmark sample plus the latent ranks that produced it.
+    """A benchmark sample plus the latent outcome ranks that produced it.
 
-    The ranks exist solely for infeasible-estimator comparisons; estimation
-    code only ever sees ``sample``.
+    The outcome rank exists solely for infeasible-estimator comparisons;
+    estimation code only ever sees ``sample``.
     """
 
     sample: Sample
     outcome_rank: np.ndarray     # eps, uniform on [0, 1]
-    selection_rank: np.ndarray   # eta, uniform on [0, 1]
 
 
 def generate(n: int, rng: np.random.Generator) -> GeneratedSample:
@@ -87,7 +86,7 @@ def generate(n: int, rng: np.random.Generator) -> GeneratedSample:
     y = (eps + 1.0) ** (2 + d)
     sample = Sample(outcomes=y, treatments=d, instruments=z,
                     covariates=np.zeros((n, 0), dtype=np.int64))
-    return GeneratedSample(sample=sample, outcome_rank=eps, selection_rank=eta)
+    return GeneratedSample(sample=sample, outcome_rank=eps)
 
 
 def true_ites(generated: GeneratedSample) -> np.ndarray:
@@ -158,9 +157,6 @@ class DgpOracle:
         y_arr = np.asarray(y, dtype=np.float64)
         out = y_arr ** (2.0 / 3.0)
         return float(out) if np.isscalar(y) else out
-
-    def outcome_bounds(self, d: int) -> tuple[float, float]:
-        return (1.0, 4.0) if d == 0 else (1.0, 8.0)
 
 
 class TheoryVariance:
@@ -371,48 +367,52 @@ def gaussian_diagnostic(tau: float, n: int, reps: int, seed: int,
 # Coverage studies
 # ---------------------------------------------------------------------------
 
-_TARGET_KINDS = ("cdf-ci", "cdf-ci-naive", "quantile-ci", "iqr-ci",
-                 "prob-positive-ci", "cdf-band", "quantile-band",
-                 "cdf-band-interpolated")
+# What ``at`` must be for each kind of target: an evaluation point ``v``, a
+# level ``tau``, a grid of values or of levels, or nothing.
+_TARGET_AT = {
+    "cdf-ci": "v", "cdf-ci-naive": "v", "quantile-ci": "tau",
+    "iqr-ci": None, "prob-positive-ci": None,
+    "cdf-band-constant": "values", "cdf-band-variable": "values",
+    "cdf-band-interpolated": "values",
+    "quantile-band-constant": "levels", "quantile-band-variable": "levels",
+}
 
 
 @dataclass(frozen=True)
 class StudyTarget:
-    """One inference product to evaluate in a coverage study."""
+    """One inference product to evaluate in a coverage study, and where.
+
+    ``at`` is what the kind's entry of ``_TARGET_AT`` asks for: a point ``v``
+    for the CDF intervals, a level ``tau`` for the quantile interval, a
+    :class:`Grid` of that kind for the bands, and ``None`` for the IQR and
+    positive-share intervals.
+    """
 
     kind: str
-    v: float | None = None
-    tau: float | None = None
-    grid: Grid | None = None
-    band: str = "constant"
+    at: float | Grid | None = None
 
     def __post_init__(self):
-        if self.kind not in _TARGET_KINDS:
-            raise ValueError(f"target kind must be one of {_TARGET_KINDS}, got {self.kind!r}")
-        if self.kind in ("cdf-ci", "cdf-ci-naive") and self.v is None:
-            raise ValueError(f"{self.kind} needs an evaluation point v")
-        if self.kind == "quantile-ci" and self.tau is None:
-            raise ValueError("quantile-ci needs a level tau")
-        if self.kind.endswith("band") or self.kind == "cdf-band-interpolated":
-            if self.grid is None:
-                raise ValueError(f"{self.kind} needs a grid")
-            wanted = "levels" if self.kind == "quantile-band" else "values"
-            if self.grid.kind != wanted:
-                raise ValueError(f"{self.kind} needs a grid of kind {wanted!r}")
-        if self.band not in ("constant", "variable"):
-            raise ValueError(f"band must be 'constant' or 'variable', got {self.band!r}")
+        if self.kind not in _TARGET_AT:
+            raise ValueError(f"target kind must be one of {tuple(_TARGET_AT)}, "
+                             f"got {self.kind!r}")
+        wanted = _TARGET_AT[self.kind]
+        if wanted is None:
+            if self.at is not None:
+                raise ValueError(f"{self.kind} takes no evaluation point, got {self.at!r}")
+        elif wanted in ("v", "tau"):
+            if self.at is None or isinstance(self.at, Grid):
+                raise ValueError(f"{self.kind} needs a scalar {wanted}")
+        elif not isinstance(self.at, Grid) or self.at.kind != wanted:
+            raise ValueError(f"{self.kind} needs a grid of kind {wanted!r}")
 
     @property
     def label(self) -> str:
-        if self.kind in ("cdf-ci", "cdf-ci-naive"):
-            return f"{self.kind}@v={self.v:g}"
-        if self.kind == "quantile-ci":
-            return f"quantile-ci@tau={self.tau:g}"
-        if self.grid is not None:
-            extra = "" if self.kind == "cdf-band-interpolated" else f"-{self.band}"
-            lo, hi = self.grid.points[0], self.grid.points[-1]
-            return f"{self.kind}{extra}@[{lo:g},{hi:g}]"
-        return self.kind
+        wanted = _TARGET_AT[self.kind]
+        if wanted is None:
+            return self.kind
+        if wanted in ("v", "tau"):
+            return f"{self.kind}@{wanted}={self.at:g}"
+        return f"{self.kind}@[{self.at.points[0]:g},{self.at.points[-1]:g}]"
 
     @property
     def needs_bootstrap(self) -> bool:
@@ -436,16 +436,14 @@ class CoverageReport:
 
 def _truth(target: StudyTarget, oracle: DgpOracle) -> float | np.ndarray:
     """The closed-form value of what ``target`` estimates."""
-    kind, grid = target.kind, target.grid
-    if kind in ("cdf-ci", "cdf-ci-naive"):
-        return oracle.cdf(target.v)
-    if kind in ("cdf-band", "cdf-band-interpolated"):
-        return oracle.cdf(grid.points)
-    if kind == "quantile-band":
-        return oracle.quantile(grid.points)
-    if kind == "quantile-ci":
-        return oracle.quantile(target.tau)
-    if kind == "iqr-ci":
+    wanted, at = _TARGET_AT[target.kind], target.at
+    if isinstance(at, Grid):
+        at = at.points
+    if wanted in ("v", "values"):
+        return oracle.cdf(at)
+    if wanted in ("tau", "levels"):
+        return oracle.quantile(at)
+    if target.kind == "iqr-ci":
         return oracle.iqr()
     return 1.0 - oracle.cdf(0.0)
 
@@ -456,27 +454,26 @@ def _evaluate_target(target: StudyTarget, level: float,
                      truth: float | np.ndarray) -> tuple[bool, float]:
     """(covered, length) of one product on one generated sample."""
     alpha = 1.0 - level
-    kind, grid = target.kind, target.grid
+    kind, at = target.kind, target.at
     if kind == "cdf-band-interpolated":
         # Pointwise percentile intervals, scored on the grid points only.
-        lo, hi = order_statistics(_sorted_columns(reps, grid, _cdf_curves),
+        lo, hi = order_statistics(_sorted_columns(reps, at, _cdf_curves),
                                   (alpha / 2.0, 1.0 - alpha / 2.0), axis=0)
         return (bool(np.all((lo <= truth) & (truth <= hi))), float((hi - lo).mean()))
-    if kind == "cdf-band":
-        product = ucb_cdf_constant if target.band == "constant" else ucb_cdf_variable
-        band = product(reps, alpha, grid)
-        return (band.covers(truth), band.average_width)
-    if kind == "quantile-band":
-        product = (ucb_quantile_constant if target.band == "constant"
-                   else ucb_quantile_variable)
-        band = product(reps, alpha, grid)
+    # Built per call, so that each product is looked up by its module-level
+    # name when it runs: the benchmark's tracer rebinds those names.
+    bands = {"cdf-band-constant": ucb_cdf_constant, "cdf-band-variable": ucb_cdf_variable,
+             "quantile-band-constant": ucb_quantile_constant,
+             "quantile-band-variable": ucb_quantile_variable}
+    if kind in bands:
+        band = bands[kind](reps, alpha, at)
         return (band.covers(truth), band.average_width)
     if kind == "cdf-ci":
-        interval = ci_cdf(reps, alpha, target.v)
+        interval = ci_cdf(reps, alpha, at)
     elif kind == "cdf-ci-naive":
-        interval = naive_ci_cdf(point_sorted, target.v, alpha)
+        interval = naive_ci_cdf(point_sorted, at, alpha)
     elif kind == "quantile-ci":
-        interval = ci_quantile_and_iqr(reps, alpha, target.tau)[0]
+        interval = ci_quantile_and_iqr(reps, alpha, at)[0]
     elif kind == "iqr-ci":
         interval = ci_quantile_and_iqr(reps, alpha, 0.5)[1]
     else:
@@ -499,6 +496,8 @@ def run_coverage(targets, n: int, reps: int, levels, b: int, seed: int,
     if reps < 1:
         raise ValueError("need at least one Monte Carlo replication")
     levels = [float(l) for l in np.atleast_1d(levels)]
+    if not all(0.0 < level < 1.0 for level in levels):
+        raise ValueError(f"nominal levels must lie in (0, 1), got {levels}")
     oracle = DgpOracle()
     truths = [_truth(t, oracle) for t in targets]
     any_bootstrap = any(t.needs_bootstrap for t in targets)

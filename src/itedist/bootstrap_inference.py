@@ -3,15 +3,16 @@
 Only ``draw_replicates`` and ``two_group_quantile_replicates`` resample:
 they draw rows with replacement, recompute the leave-one-out pseudo
 treatment effects on each resample (holding the original outcome bounds
-fixed), and keep the sorted effects or per-level quantiles of every
-replication.  Both work through chunks of consecutive replications, one
-chunk per group.  Each replication draws its resample with :func:`resample`
-from its own keyed stream: the parent's rows in their (cell, treatment,
-outcome) order, which the parent sorts once, each repeated as often as it
-was drawn, with the parent's cell codes.  A chunk stacks its draws into one
-sample whose cells are (replication, cell), the codes offset rather than
-sorted again, checks every margin with one ``bincount`` and redraws only the
-replications that fail.  One ``pseudo_ites`` call then fits the whole chunk
+fixed), and keep the sorted effects of every replication or, for two
+groups, the difference of their per-level quantiles.  Both work through
+chunks of consecutive replications, one chunk per group.  Each replication
+draws its resample with :func:`resample` from its own keyed stream: the
+parent's rows in their (cell, treatment, outcome) order, which the parent
+sorts once, each repeated as often as it was drawn, with the parent's cell
+codes.  A chunk stacks its draws into one sample whose cells are
+(replication, cell), the codes offset rather than sorted again, checks
+every margin with one ``bincount`` and redraws only the replications that
+fail.  One ``pseudo_ites`` call then fits the whole chunk
 on rows already in the order it sorts them into, and each replication's
 effects are sorted in place in its row of one replicate matrix.  A row's
 effect depends only on its cell, so neither the chunking nor the row order
@@ -510,34 +511,20 @@ def ucb_quantile_variable(reps: BootstrapReplicates, alpha: float,
 
 @dataclass(frozen=True, eq=False)
 class TwoGroupReplicates(FrozenArrays):
-    """Per-level quantiles for two independently resampled groups."""
+    """Group-1 minus group-0 quantiles at each level, for two independently
+    resampled groups."""
 
     levels: np.ndarray
-    estimate0: np.ndarray
-    estimate1: np.ndarray
-    boot0: np.ndarray           # (B, T)
-    boot1: np.ndarray           # (B, T)
-    iqr0: float
-    iqr1: float
-    redraws: tuple[int, int]
+    delta: np.ndarray           # (T,), the point fits' differences
+    delta_boot: np.ndarray      # (B, T), each replication's differences
+    scale_reference: float      # the larger of the point fits' IQRs
+    redraws: int                # both groups' redraws
     # The level-free work of the bands and tests, by (grid, piece).
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def b_used(self) -> int:
-        return self.boot0.shape[0]
-
-    @property
-    def total_redraws(self) -> int:
-        return self.redraws[0] + self.redraws[1]
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.estimate1 - self.estimate0
-
-    @property
-    def delta_boot(self) -> np.ndarray:
-        return self.boot1 - self.boot0
+        return self.delta_boot.shape[0]
 
     def level_index(self, tau: float) -> int:
         pos = int(np.searchsorted(self.levels, tau))
@@ -551,7 +538,8 @@ def two_group_quantile_replicates(sample0: Sample, sample1: Sample,
                                   cfg: BootstrapConfig, levels, *,
                                   couple_streams: bool = False,
                                   threads: int = 1) -> TwoGroupReplicates:
-    """Resample both groups independently and collect per-level quantiles.
+    """Resample both groups independently and keep, at each level, the
+    group-1 minus group-0 quantile difference of every replication.
 
     The two groups use separate derived streams per replication.  With
     ``couple_streams=True`` both groups share one stream (a diagnostic hook:
@@ -566,28 +554,26 @@ def two_group_quantile_replicates(sample0: Sample, sample1: Sample,
     point0 = np.sort(pseudo_ites(sample0.take(sample0.row_order), bounds0).values)
     point1 = np.sort(pseudo_ites(sample1.take(sample1.row_order), bounds1).values)
 
-    boot0 = np.empty((cfg.n_replications, len(levels)))
-    boot1 = np.empty((cfg.n_replications, len(levels)))
+    delta_boot = np.empty((cfg.n_replications, len(levels)))
 
-    def one(chunk: range) -> tuple[int, int]:
-        redraws = []
-        for sample, bounds, group, boot in (
-                (sample0, bounds0, 0, boot0),
-                (sample1, bounds1, 0 if couple_streams else 1, boot1)):
+    def one(chunk: range) -> int:
+        redraws, columns = 0, []
+        for sample, bounds, group in ((sample0, bounds0, 0),
+                                      (sample1, bounds1, 0 if couple_streams else 1)):
             fitted = np.empty((len(chunk), sample.n))
-            redraws.append(_fit_chunk(sample, bounds, cfg, chunk, group, fitted))
-            boot[chunk.start:chunk.stop] = order_statistics(fitted, levels)
-        return tuple(redraws)
+            redraws += _fit_chunk(sample, bounds, cfg, chunk, group, fitted)
+            columns.append(order_statistics(fitted, levels))
+        delta_boot[chunk.start:chunk.stop] = columns[1] - columns[0]
+        return redraws
 
     redraws = parallel_map(one, _chunks(cfg.n_replications, sample0.n, sample1.n),
                            threads)
     return TwoGroupReplicates(
         levels=levels,
-        estimate0=order_statistics(point0, levels),
-        estimate1=order_statistics(point1, levels),
-        boot0=boot0, boot1=boot1,
-        iqr0=iqr(point0), iqr1=iqr(point1),
-        redraws=(sum(r[0] for r in redraws), sum(r[1] for r in redraws)))
+        delta=order_statistics(point1, levels) - order_statistics(point0, levels),
+        delta_boot=delta_boot,
+        scale_reference=max(iqr(point0), iqr(point1)),
+        redraws=sum(redraws))
 
 
 def compare_quantiles(reps: TwoGroupReplicates, alpha: float,
@@ -607,9 +593,9 @@ def compare_quantiles(reps: TwoGroupReplicates, alpha: float,
               - delta_boot[:, reps.level_index(0.25)])
     s_lo, s_hi = percentile_interval(spread, alpha)
     return (IntervalResult(target="quantile-difference", at=float(tau), lo=d_lo,
-                           hi=d_hi, b_used=reps.b_used, redraws=reps.total_redraws),
+                           hi=d_hi, b_used=reps.b_used, redraws=reps.redraws),
             IntervalResult(target="iqr-difference", lo=s_lo, hi=s_hi,
-                           b_used=reps.b_used, redraws=reps.total_redraws))
+                           b_used=reps.b_used, redraws=reps.redraws))
 
 
 def _difference_curves(reps: TwoGroupReplicates,
@@ -637,8 +623,7 @@ def ucb_quantile_difference(reps: TwoGroupReplicates, alpha: float, grid: Grid, 
     if band not in _BAND_KINDS:
         raise ValueError(f"unknown band selector {band!r}")
     return _kept_band(reps, alpha, grid, _difference_curves, "quantile-difference",
-                      _BAND_KINDS[band], reps.total_redraws,
-                      max(reps.iqr0, reps.iqr1))
+                      _BAND_KINDS[band], reps.redraws, reps.scale_reference)
 
 
 _HYPOTHESES = ("equality", "location-shift", "dominance")
@@ -676,4 +661,4 @@ def test_distributions(reps: TwoGroupReplicates, alpha: float, grid: Grid,
     return TestResult(hypothesis=hypothesis, statistic=statistic,
                       critical_value=critical, reject=statistic > critical,
                       alpha=alpha, b_used=reps.b_used,
-                      redraws=reps.total_redraws)
+                      redraws=reps.redraws)

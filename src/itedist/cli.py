@@ -415,7 +415,7 @@ def cmd_compare(resolved: dict, threads: int) -> ReportDocument:
         command="compare", package_version=__version__, seed=resolved["seed"],
         bootstrap=resolved["bootstrap"], alpha=resolved["alpha"],
         n_per_group={"group0": sample0.n, "group1": sample1.n},
-        redraws=replicates.total_redraws,
+        redraws=replicates.redraws,
         reproducibility=_repro_block("compare", resolved))
     document.point_estimates["n_group0"] = sample0.n
     document.point_estimates["n_group1"] = sample1.n
@@ -448,25 +448,20 @@ def _study_targets(resolved: dict) -> list:
 
     study = resolved["study"]
     if study == "table1":
-        targets = []
-        for v in resolved["v"]:
-            targets.append(StudyTarget(kind="cdf-ci", v=v))
-            targets.append(StudyTarget(kind="cdf-ci-naive", v=v))
-        return targets
+        return [StudyTarget(kind, v) for v in resolved["v"]
+                for kind in ("cdf-ci", "cdf-ci-naive")]
     if study == "table2":
         size = resolved["grid-size"] or 393
         grid = make_grid("values", *resolved["v-range"], size)
-        return [StudyTarget(kind="cdf-band", grid=grid, band="constant"),
-                StudyTarget(kind="cdf-band", grid=grid, band="variable"),
-                StudyTarget(kind="cdf-band-interpolated", grid=grid)]
+        return [StudyTarget(kind, grid) for kind in
+                ("cdf-band-constant", "cdf-band-variable", "cdf-band-interpolated")]
     if study == "table3":
-        targets = [StudyTarget(kind="quantile-ci", tau=t) for t in resolved["tau"]]
-        targets.append(StudyTarget(kind="iqr-ci"))
-        return targets
+        return [*(StudyTarget("quantile-ci", t) for t in resolved["tau"]),
+                StudyTarget("iqr-ci")]
     size = resolved["grid-size"] or 91   # table4, the one study left
     grid = make_grid("levels", *resolved["tau-range"], size)
-    return [StudyTarget(kind="quantile-band", grid=grid, band="constant"),
-            StudyTarget(kind="quantile-band", grid=grid, band="variable")]
+    return [StudyTarget(kind, grid)
+            for kind in ("quantile-band-constant", "quantile-band-variable")]
 
 
 def cmd_simulate(resolved: dict, threads: int) -> None:

@@ -289,10 +289,6 @@ class GroupSelector:
                 raise ValueError(f"cannot parse selector atom {raw!r}")
         return cls(tuple(atoms))
 
-    @property
-    def positions(self) -> tuple[int, ...]:
-        return tuple(sorted({pos for pos, _, _ in self.atoms}))
-
     def matches(self, cell: Cell) -> bool:
         for pos, op, value in self.atoms:
             if pos >= len(cell):
@@ -389,10 +385,6 @@ class EstimabilityReport:
     @property
     def flagged(self) -> tuple[CellEstimability, ...]:
         return tuple(c for c in self.cells if c.flags)
-
-    @property
-    def ok(self) -> bool:
-        return not self.flagged
 
 
 def check_estimability(sample: Sample) -> EstimabilityReport:

@@ -38,12 +38,11 @@ def _criterion(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def desk_n250():
     """Pointwise CI study at n=250 (feeds criteria 4 and 5)."""
-    targets = [StudyTarget(kind="cdf-ci", v=2.0),
-               StudyTarget(kind="cdf-ci-naive", v=2.0),
-               StudyTarget(kind="quantile-ci", tau=0.5),
-               StudyTarget(kind="cdf-band",
-                           grid=make_grid("values", 0.04, 3.96, 393),
-                           band="constant")]
+    targets = [StudyTarget("cdf-ci", 2.0),
+               StudyTarget("cdf-ci-naive", 2.0),
+               StudyTarget("quantile-ci", 0.5),
+               StudyTarget("cdf-band-constant",
+                           make_grid("values", 0.04, 3.96, 393))]
     started = time.perf_counter()
     reports = run_coverage(targets, n=250, reps=300, levels=[0.95], b=200,
                            seed=101)
@@ -54,14 +53,12 @@ def desk_n250():
 @pytest.fixture(scope="module")
 def desk_n500():
     """Band study at n=500 (feeds criteria 6 and 7)."""
-    targets = [StudyTarget(kind="quantile-band",
-                           grid=make_grid("levels", 0.20, 0.80, 61),
-                           band="constant"),
-               StudyTarget(kind="cdf-band-interpolated",
-                           grid=make_grid("values", 0.04, 3.96, 393)),
-               StudyTarget(kind="cdf-band",
-                           grid=make_grid("values", 0.04, 3.96, 393),
-                           band="variable")]
+    targets = [StudyTarget("quantile-band-constant",
+                           make_grid("levels", 0.20, 0.80, 61)),
+               StudyTarget("cdf-band-interpolated",
+                           make_grid("values", 0.04, 3.96, 393)),
+               StudyTarget("cdf-band-variable",
+                           make_grid("values", 0.04, 3.96, 393))]
     started = time.perf_counter()
     reports = run_coverage(targets, n=500, reps=200, levels=[0.95], b=200,
                            seed=102)
@@ -238,8 +235,8 @@ def test_criterion_6_quantile_band_coverage_and_width(desk_n500):
     started = time.perf_counter()
     grid = make_grid("levels", 0.20, 0.80, 61)
     width_reports = run_coverage(
-        [StudyTarget(kind="quantile-band", grid=grid, band="constant"),
-         StudyTarget(kind="quantile-band", grid=grid, band="variable")],
+        [StudyTarget("quantile-band-constant", grid),
+         StudyTarget("quantile-band-variable", grid)],
         n=1000, reps=60, levels=[0.95], b=200, seed=106)
     elapsed = elapsed_500 + time.perf_counter() - started
     widths = {r.target: r.avg_length for r in width_reports}

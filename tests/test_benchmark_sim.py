@@ -52,8 +52,7 @@ class TestTrueItes:
         sample = Sample(outcomes=[1.0, 8.0], treatments=[0, 1], instruments=[0, 1],
                         covariates=np.zeros((2, 0), dtype=int))
         gen = GeneratedSample(sample=sample,
-                              outcome_rank=np.array([0.0, 1.0]),
-                              selection_rank=np.array([0.5, 0.5]))
+                              outcome_rank=np.array([0.0, 1.0]))
         assert true_ites(gen).tolist() == [0.0, 4.0]
 
     def test_midpoint(self):
@@ -105,10 +104,6 @@ class TestOracle:
         assert np.allclose(self.oracle.map_to_treated(self.oracle.map_to_control(y)),
                            y, atol=1e-10)
         assert self.oracle.map_to_treated(2.25) == pytest.approx(3.375, abs=1e-12)
-
-    def test_outcome_bounds(self):
-        assert self.oracle.outcome_bounds(0) == (1.0, 4.0)
-        assert self.oracle.outcome_bounds(1) == (1.0, 8.0)
 
 
 class TestTheoryVariance:
@@ -169,15 +164,15 @@ class TestGaussianDiagnostic:
 
 class TestRunCoverage:
     def test_deterministic_reports(self):
-        targets = [StudyTarget(kind="cdf-ci", v=2.0),
-                   StudyTarget(kind="cdf-ci-naive", v=2.0)]
+        targets = [StudyTarget("cdf-ci", 2.0),
+                   StudyTarget("cdf-ci-naive", 2.0)]
         a = run_coverage(targets, n=120, reps=6, levels=[0.9], b=20, seed=31)
         b = run_coverage(targets, n=120, reps=6, levels=[0.9], b=20, seed=31,
                          threads=3)
         assert [dataclasses.asdict(r) for r in a] == [dataclasses.asdict(r) for r in b]
 
     def test_report_fields(self):
-        reports = run_coverage([StudyTarget(kind="quantile-ci", tau=0.5)],
+        reports = run_coverage([StudyTarget("quantile-ci", 0.5)],
                                n=120, reps=5, levels=[0.9, 0.95], b=20, seed=32)
         assert len(reports) == 2
         for report in reports:
@@ -189,20 +184,22 @@ class TestRunCoverage:
     def test_sample_with_an_empty_treatment_arm_counts_as_a_failure(self):
         # One of the 30 samples of 12 rows holds no untreated row, so its
         # bounds cannot be estimated; the study keeps the other 29.
-        (report,) = run_coverage([StudyTarget(kind="cdf-ci", v=2.0)], n=12, reps=30,
+        (report,) = run_coverage([StudyTarget("cdf-ci", 2.0)], n=12, reps=30,
                                  levels=[0.9], b=20, seed=1)
         assert report.failures == 1 and report.reps == 29
 
     def test_band_targets_run(self):
         grid_v = make_grid("values", 0.1, 3.8, 15)
         grid_t = make_grid("levels", 0.25, 0.75, 7)
-        targets = [StudyTarget(kind="cdf-band", grid=grid_v, band="constant"),
-                   StudyTarget(kind="cdf-band-interpolated", grid=grid_v),
-                   StudyTarget(kind="quantile-band", grid=grid_t, band="variable"),
-                   StudyTarget(kind="iqr-ci"),
-                   StudyTarget(kind="prob-positive-ci")]
+        targets = [StudyTarget("cdf-band-constant", grid_v),
+                   StudyTarget("cdf-band-interpolated", grid_v),
+                   StudyTarget("quantile-band-variable", grid_t),
+                   StudyTarget("iqr-ci"),
+                   StudyTarget("prob-positive-ci")]
         reports = run_coverage(targets, n=150, reps=4, levels=[0.9], b=20, seed=33)
-        assert len(reports) == 5
+        assert [r.target for r in reports] == [
+            "cdf-band-constant@[0.1,3.8]", "cdf-band-interpolated@[0.1,3.8]",
+            "quantile-band-variable@[0.25,0.75]", "iqr-ci", "prob-positive-ci"]
         assert all(np.isfinite(r.avg_length) for r in reports)
 
     # At B=20 the variable band's studentizer is floored in the grid's tails.
@@ -227,9 +224,9 @@ class TestRunCoverage:
         monkeypatch.setattr(bootstrap_inference, "cdf_at", counted_cdf_at)
         monkeypatch.setattr(DgpOracle, "cdf", counted_cdf)
         grid = make_grid("values", 0.04, 3.96, 393)
-        targets = [StudyTarget(kind="cdf-band", grid=grid, band="constant"),
-                   StudyTarget(kind="cdf-band", grid=grid, band="variable"),
-                   StudyTarget(kind="cdf-band-interpolated", grid=grid)]
+        targets = [StudyTarget("cdf-band-constant", grid),
+                   StudyTarget("cdf-band-variable", grid),
+                   StudyTarget("cdf-band-interpolated", grid)]
         reports = run_coverage(targets, n=150, reps=3, levels=[0.9, 0.95, 0.99],
                                b=20, seed=34)
         assert all(r.failures == 0 for r in reports)
@@ -247,11 +244,11 @@ class TestRunCoverage:
         from itedist import bootstrap_inference, data_model
         values = make_grid("values", 0.04, 3.96, 393)
         levels = make_grid("levels", 0.05, 0.95, 91)
-        targets = [StudyTarget(kind="cdf-band", grid=values, band="constant"),
-                   StudyTarget(kind="cdf-band", grid=values, band="variable"),
-                   StudyTarget(kind="cdf-band-interpolated", grid=values),
-                   StudyTarget(kind="quantile-band", grid=levels, band="constant"),
-                   StudyTarget(kind="quantile-band", grid=levels, band="variable")]
+        targets = [StudyTarget("cdf-band-constant", values),
+                   StudyTarget("cdf-band-variable", values),
+                   StudyTarget("cdf-band-interpolated", values),
+                   StudyTarget("quantile-band-constant", levels),
+                   StudyTarget("quantile-band-variable", levels)]
         sort = np.sort
         column_sorts = []
 
@@ -276,17 +273,32 @@ class TestRunCoverage:
         assert row_order.call_count == 3
 
     def test_target_validation(self):
-        with pytest.raises(ValueError):
-            StudyTarget(kind="cdf-ci")            # missing v
-        with pytest.raises(ValueError):
-            StudyTarget(kind="quantile-band", grid=make_grid("values", 0, 1, 5))
-        with pytest.raises(ValueError):
-            StudyTarget(kind="nope")
+        values = make_grid("values", 0, 1, 5)
+        with pytest.raises(ValueError, match="cdf-ci needs a scalar v"):
+            StudyTarget("cdf-ci")
+        with pytest.raises(ValueError, match="quantile-ci needs a scalar tau"):
+            StudyTarget("quantile-ci", make_grid("levels", 0.2, 0.8, 5))
+        with pytest.raises(ValueError, match="needs a grid of kind 'levels'"):
+            StudyTarget("quantile-band-constant", values)
+        with pytest.raises(ValueError, match="needs a grid of kind 'values'"):
+            StudyTarget("cdf-band-variable", 2.0)
+        with pytest.raises(ValueError, match="iqr-ci takes no evaluation point"):
+            StudyTarget("iqr-ci", 0.5)
+        for kind in ("nope", "cdf-band", "quantile-band"):
+            with pytest.raises(ValueError, match="target kind must be one of"):
+                StudyTarget(kind, values)
+
+    @pytest.mark.parametrize("level", [1.5, 1.0, 0.0])
+    @pytest.mark.parametrize("kind", ["cdf-ci-naive", "cdf-ci"])
+    def test_level_outside_unit_interval_rejected(self, kind, level):
+        with pytest.raises(ValueError, match=r"nominal levels must lie in \(0, 1\)"):
+            run_coverage([StudyTarget(kind, 2.0)], n=100, reps=3,
+                         levels=[0.9, level], b=20, seed=1)
 
 
 class TestCsvWriters:
     def test_coverage_csv_layout(self, tmp_path):
-        reports = run_coverage([StudyTarget(kind="cdf-ci", v=2.0)],
+        reports = run_coverage([StudyTarget("cdf-ci", 2.0)],
                                n=100, reps=4, levels=[0.9, 0.95], b=20, seed=34)
         path = tmp_path / "coverage.csv"
         write_coverage_csv(reports, path)

@@ -23,7 +23,7 @@ from itedist import (BootstrapConfig, GroupSelector, NORMAL_QUARTILE_SPREAD,
 from itedist import test_distributions as distribution_test
 from itedist._rng import derive_stream
 from itedist.bootstrap_inference import _band, _band_draws, _fit_chunk
-from itedist.empirical_dist import Grid
+from itedist.empirical_dist import Grid, iqr, order_statistics
 
 
 def tiny_margin_sample(n_per_arm=2):
@@ -667,8 +667,8 @@ class TestTwoGroup:
         cfg = BootstrapConfig(n_replications=60, seed=19)
         reps = two_group_quantile_replicates(s0, s0, b0, b0, cfg, grid.points)
         # a location shift of the effects, which no shift of outcomes gives
-        reps = dataclasses.replace(reps, estimate1=reps.estimate1 + 2.5,
-                                   boot1=reps.boot1 + 2.5)
+        reps = dataclasses.replace(reps, delta=reps.delta + 2.5,
+                                   delta_boot=reps.delta_boot + 2.5)
         equality = distribution_test(reps, 0.05, grid, "equality")
         shift = distribution_test(reps, 0.05, grid, "location-shift")
         assert equality.reject       # pure location alternative
@@ -699,7 +699,7 @@ class TestTwoGroup:
             reps = two_group_quantile_replicates(s, s, bounds, bounds, cfg, levels,
                                                  couple_streams=True)
         assert Counter(keys) == Counter(2 * expected[0])
-        assert np.array_equal(reps.boot0, reps.boot1)
+        assert np.all(reps.delta_boot == 0.0)
 
     def test_two_group_determinism_across_threads(self, groups):
         s0, b0, s1, b1 = groups
@@ -710,8 +710,36 @@ class TestTwoGroup:
                                               threads=1)
             b = two_group_quantile_replicates(s0, s1, b0, b1, cfg, grid.points,
                                               threads=3)
-            assert np.array_equal(a.boot0, b.boot0)
-            assert np.array_equal(a.boot1, b.boot1)
+            assert a.delta_boot.tobytes() == b.delta_boot.tobytes()
+            assert a.redraws == b.redraws
+
+    def test_each_row_is_a_difference_of_group_fits(self):
+        # Row r holds group 1's level quantiles of replication r, drawn with
+        # the keys (seed, r, 1, attempt), minus group 0's, drawn with (seed,
+        # r, 0, attempt); the point differences and the scale reference come
+        # from the two point fits.  The tiny group 1 redraws.
+        s0 = generate(40, derive_stream(42, 0)).sample
+        s1 = tiny_margin_sample(4)
+        b0, b1 = estimate_bounds(s0), estimate_bounds(s1)
+        levels = np.array([0.25, 0.5, 0.75])
+        cfg = BootstrapConfig(n_replications=8, seed=7, max_redraws=20)
+        reps = two_group_quantile_replicates(s0, s1, b0, b1, cfg, levels)
+        redraws = 0
+        for r in range(cfg.n_replications):
+            columns = []
+            for sample, bounds, group in ((s0, b0, 0), (s1, b1, 1)):
+                fitted, keys = np.empty((1, sample.n)), []
+                with recording_stream_keys(keys):
+                    redraws += _fit_chunk(sample, bounds, cfg, range(r, r + 1), group,
+                                          fitted)
+                assert {key[:3] for key in keys} == {(7, r, group)}
+                columns.append(order_statistics(fitted, levels))
+            assert reps.delta_boot[r].tobytes() == (columns[1] - columns[0])[0].tobytes()
+        assert redraws > 0 and reps.redraws == redraws
+        points = [np.sort(pseudo_ites(s, b).values) for s, b in ((s0, b0), (s1, b1))]
+        assert reps.delta.tobytes() == (order_statistics(points[1], levels)
+                                        - order_statistics(points[0], levels)).tobytes()
+        assert reps.scale_reference == max(iqr(points[0]), iqr(points[1]))
 
     def test_reject_flag_consistency(self, groups):
         s0, b0, s1, b1 = groups

@@ -1,6 +1,7 @@
 """Command-line interface: flows, error discipline, reproducibility."""
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import math
@@ -377,6 +378,24 @@ class TestSimulate:
                        "--output", str(out4)) == 0
         body = out4.read_text()
         assert "quantile-band-constant" in body and "quantile-band-variable" in body
+
+    @pytest.mark.parametrize("study, flags, targets", [
+        ("table1", ["--v", "1,2"],
+         ["cdf-ci@v=1", "cdf-ci-naive@v=1", "cdf-ci@v=2", "cdf-ci-naive@v=2"]),
+        ("table2", ["--v-range", "0.04,3.96", "--grid-size", "5"],
+         ["cdf-band-constant@[0.04,3.96]", "cdf-band-variable@[0.04,3.96]",
+          "cdf-band-interpolated@[0.04,3.96]"]),
+        ("table3", ["--tau", "0.25,0.5"],
+         ["quantile-ci@tau=0.25", "quantile-ci@tau=0.5", "iqr-ci"]),
+        ("table4", ["--tau-range", "0.2,0.8", "--grid-size", "5"],
+         ["quantile-band-constant@[0.2,0.8]", "quantile-band-variable@[0.2,0.8]"])])
+    def test_target_column(self, study, flags, targets, tmp_path):
+        out = tmp_path / f"{study}.csv"
+        assert run_cli("simulate", study, *flags, "--n", "120", "--levels", "0.9",
+                       "--reps", "2", "--B", "10", "--seed", "6",
+                       "--output", str(out)) == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            assert [row[0] for row in csv.reader(handle)] == ["target", *targets]
 
     def test_zero_reps_rejected(self, tmp_path):
         assert run_cli("simulate", "table1", "--reps", "0",

@@ -508,7 +508,7 @@ class TestEstimability:
 
     def test_benchmark_clean_at_n250(self):
         gen = generate(250, derive_stream(60, 0))
-        assert check_estimability(gen.sample).ok
+        assert check_estimability(gen.sample).flagged == ()
 
     def test_counts_consistent(self, two_cell_sample):
         report = check_estimability(two_cell_sample)
@@ -526,7 +526,6 @@ class TestSelectors:
     def test_parse_atoms(self):
         sel = GroupSelector.parse("inc>1, marr=1", ["inc", "age", "marr"])
         assert sel.atoms == ((0, ">", 1), (2, "=", 1))
-        assert sel.positions == (0, 2)
         assert sel.matches((2, 9, 1)) and not sel.matches((1, 9, 1))
 
     def test_parse_le(self):
