@@ -39,8 +39,8 @@ from ._frozen import FrozenArrays
 from ._normal import ndtr, ndtri
 from ._rng import derive_seed, derive_stream, parallel_map
 from .bootstrap_inference import (BootstrapConfig, BootstrapReplicates,
-                                  IntervalResult, ReplicationError, _cdf_curves,
-                                  _sorted_columns, ci_cdf, ci_prob_positive,
+                                  IntervalResult, ReplicationError, _sorted_columns,
+                                  ci_cdf, ci_prob_positive,
                                   ci_quantile_and_iqr, draw_replicates,
                                   ucb_cdf_constant, ucb_cdf_variable,
                                   ucb_quantile_constant, ucb_quantile_variable)
@@ -244,23 +244,37 @@ def theory_variance(tau: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# Monte Carlo quantile draws
+# ---------------------------------------------------------------------------
+
+def _quantile_draws(taus, n: int, reps: int, seed: int,
+                    threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, levels) quantiles at ``taus`` of the estimated and of the true
+    effects of ``reps`` benchmark samples of size ``n``; sample ``k`` is
+    drawn from the stream keyed (seed, k)."""
+    def one(k: int):
+        gen = generate(n, derive_stream(seed, k))
+        estimated = np.sort(pseudo_ites(gen.sample, estimate_bounds(gen.sample)).values)
+        return (order_statistics(estimated, taus),
+                order_statistics(np.sort(true_ites(gen)), taus))
+
+    draws = parallel_map(one, range(reps), threads)
+    return np.vstack([d[0] for d in draws]), np.vstack([d[1] for d in draws])
+
+
+# ---------------------------------------------------------------------------
 # Brute-force oracle for the estimation-error variance
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class VarianceGapReport:
-    """Simulated check of the estimation-error variance component.
+    """Simulated check of the estimation-error variance component, per level.
 
     ``gap`` is n * (var of feasible quantile - var of infeasible quantile),
-    computed on common samples; it should approach the theoretical
-    estimation component as n grows.
+    computed on common samples; it should approach ``theory``, the
+    theoretical estimation component, as n grows.
     """
 
-    taus: tuple[float, ...]
-    n: int
-    reps: int
-    feasible_scaled_var: tuple[float, ...]
-    infeasible_scaled_var: tuple[float, ...]
     gap: tuple[float, ...]
     theory: tuple[float, ...]
 
@@ -277,26 +291,10 @@ def quantile_variance_gap(taus, n: int, reps: int, seed: int) -> VarianceGapRepo
     independent runs.
     """
     taus = tuple(float(t) for t in np.atleast_1d(taus))
-
-    def one(k: int):
-        gen = generate(n, derive_stream(seed, k))
-        bounds = estimate_bounds(gen.sample)
-        feasible = np.sort(pseudo_ites(gen.sample, bounds).values)
-        infeasible = np.sort(true_ites(gen))
-        return order_statistics(feasible, taus), order_statistics(infeasible, taus)
-
-    results = [one(k) for k in range(reps)]
-    feasible = np.vstack([r[0] for r in results])
-    infeasible = np.vstack([r[1] for r in results])
-    var_f = n * feasible.var(axis=0, ddof=1)
-    var_i = n * infeasible.var(axis=0, ddof=1)
-    theory = tuple(theory_variance(t)[1] for t in taus)
-    return VarianceGapReport(
-        taus=taus, n=n, reps=reps,
-        feasible_scaled_var=tuple(float(x) for x in var_f),
-        infeasible_scaled_var=tuple(float(x) for x in var_i),
-        gap=tuple(float(x) for x in var_f - var_i),
-        theory=theory)
+    feasible, infeasible = _quantile_draws(taus, n, reps, seed, threads=1)
+    gap = n * feasible.var(axis=0, ddof=1) - n * infeasible.var(axis=0, ddof=1)
+    return VarianceGapReport(gap=tuple(float(x) for x in gap),
+                             theory=tuple(theory_variance(t)[1] for t in taus))
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +318,9 @@ def naive_ci_cdf(values, v: float, alpha: float) -> IntervalResult:
 
 @dataclass(frozen=True, eq=False)
 class GaussianDiagnostic(FrozenArrays):
-    """Standardized quantile-estimator draws against the limit law."""
+    """Quantile-estimator draws, standardized against the limit law, with
+    their mean, variance and 30-bin histogram."""
 
-    tau: float
-    n: int
-    reps: int
     estimates: np.ndarray
     standardized: np.ndarray
     mean: float
@@ -347,18 +343,11 @@ def gaussian_diagnostic(tau: float, n: int, reps: int, seed: int,
     truth = oracle.quantile(tau)
     v1, v2 = theory_variance(tau)
 
-    def one(k: int) -> float:
-        gen = generate(n, derive_stream(seed, k))
-        bounds = estimate_bounds(gen.sample)
-        values = np.sort(pseudo_ites(gen.sample, bounds).values)
-        return float(order_statistics(values, tau))
-
-    estimates = np.array(parallel_map(one, range(reps), threads))
+    estimates = _quantile_draws((tau,), n, reps, seed, threads)[0][:, 0]
     standardized = (estimates - truth) * math.sqrt(n / (v1 + v2))
     counts, edges = np.histogram(standardized, bins=30)
     return GaussianDiagnostic(
-        tau=float(tau), n=n, reps=reps, estimates=estimates,
-        standardized=standardized, mean=float(standardized.mean()),
+        estimates=estimates, standardized=standardized, mean=float(standardized.mean()),
         variance=float(standardized.var(ddof=1)),
         bin_edges=edges, bin_counts=counts)
 
@@ -430,7 +419,6 @@ class CoverageReport:
     reps: int
     b_used: int
     n: int
-    mc_se: float
     failures: int
 
 
@@ -457,7 +445,7 @@ def _evaluate_target(target: StudyTarget, level: float,
     kind, at = target.kind, target.at
     if kind == "cdf-band-interpolated":
         # Pointwise percentile intervals, scored on the grid points only.
-        lo, hi = order_statistics(_sorted_columns(reps, at, _cdf_curves),
+        lo, hi = order_statistics(_sorted_columns(reps, at),
                                   (alpha / 2.0, 1.0 - alpha / 2.0), axis=0)
         return (bool(np.all((lo <= truth) & (truth <= hi))), float((hi - lo).mean()))
     # Built per call, so that each product is looked up by its module-level
@@ -532,9 +520,7 @@ def run_coverage(targets, n: int, reps: int, levels, b: int, seed: int,
                 target=target.label, nominal=level, coverage=coverage,
                 avg_length=float(lengths.mean()) if len(kept) else float("nan"),
                 reps=len(kept), b_used=0 if not target.needs_bootstrap else b,
-                n=n, mc_se=math.sqrt(coverage * (1.0 - coverage) / len(kept))
-                if len(kept) else float("nan"),
-                failures=failures))
+                n=n, failures=failures))
     return reports
 
 

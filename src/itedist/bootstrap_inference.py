@@ -212,9 +212,13 @@ class BootstrapReplicates(FrozenArrays):
     def b_used(self) -> int:
         return self.sorted_values.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.sorted_values.shape[1]
+    def _curves(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        """The point curve and the replications' curves over ``grid``, kept:
+        empirical CDFs over a value grid, order statistics over a level grid."""
+        read = cdf_at if grid.kind == "values" else order_statistics
+        return _memo(self, grid, "curves",
+                     lambda: (read(self.point_sorted, grid.points),
+                              read(self.sorted_values, grid.points)))
 
 
 def _chunks(n_replications: int, *sizes: int) -> list[range]:
@@ -410,9 +414,9 @@ def _check_grid(grid: Grid, kind: str) -> None:
 def _memo(reps, grid: Grid, piece: str, build):
     """``build()``, computed once per replicate set, grid object and piece.
 
-    A band's curves over its grid, their column-sorted copy and each band
-    kind's draws depend on neither the level nor the call, so the replicate
-    set keeps them, read-only.
+    The pieces are ``"curves"`` (the set's ``_curves``), ``"sorted"`` (their
+    column-sorted copy) and one per band kind (its draws).  None depends on
+    the level or the call, so the replicate set keeps them, read-only.
     """
     key = (grid, piece)
     value = reps._memo.get(key)
@@ -425,46 +429,31 @@ def _memo(reps, grid: Grid, piece: str, build):
     return value
 
 
-def _cdf_curves(reps: BootstrapReplicates,
-                grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Original and per-replication empirical CDFs over a value grid."""
-    _check_grid(grid, "values")
-    return _memo(reps, grid, "curves",
-                 lambda: (cdf_at(reps.point_sorted, grid.points),
-                          cdf_at(reps.sorted_values, grid.points)))
+def _sorted_columns(reps, grid: Grid) -> np.ndarray:
+    """The replications' curves over ``grid``, sorted down each column, kept."""
+    return _memo(reps, grid, "sorted", lambda: np.sort(reps._curves(grid)[1], axis=0))
 
 
-def _quantile_curves(reps: BootstrapReplicates,
-                     grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Original and per-replication empirical quantiles over a level grid."""
-    _check_grid(grid, "levels")
-    return _memo(reps, grid, "curves",
-                 lambda: (order_statistics(reps.point_sorted, grid.points),
-                          order_statistics(reps.sorted_values, grid.points)))
-
-
-def _sorted_columns(reps, grid: Grid, curves) -> np.ndarray:
-    """The replications of ``curves(reps, grid)``, sorted down each column."""
-    return _memo(reps, grid, "sorted", lambda: np.sort(curves(reps, grid)[1], axis=0))
-
-
-def _kept_draws(reps, grid: Grid, curves, kind: str,
+def _kept_draws(reps, grid: Grid, kind: str,
                 scale_reference: float = 0.0) -> _BandDraws:
-    """The draws of a band of ``kind`` over ``curves(reps, grid)``, kept by
-    the replicate set."""
+    """The draws of a band of ``kind`` over the set's curves on ``grid``,
+    kept by the replicate set."""
     def build():
-        center, boot = curves(reps, grid)
-        sorted_boot = (_sorted_columns(reps, grid, curves)
+        center, boot = reps._curves(grid)
+        sorted_boot = (_sorted_columns(reps, grid)
                        if kind == "two-sided-variable" else None)
         return _band_draws(kind, center, boot, sorted_boot, scale_reference)
     return _memo(reps, grid, kind, build)
 
 
-def _kept_band(reps, alpha: float, grid: Grid, curves, target: str, kind: str,
-               redraws: int, scale_reference: float = 0.0) -> BandResult:
-    draws = _kept_draws(reps, grid, curves, kind, scale_reference)
-    return _band(target, grid, curves(reps, grid)[0], kind, draws, alpha,
-                 reps.b_used, redraws)
+def _kept_band(reps, alpha: float, grid: Grid, target: str, kind: str,
+               scale_reference: float = 0.0) -> BandResult:
+    """The band of ``target`` (a CDF over values, else a quantile function
+    over levels) of ``kind`` at level ``alpha``."""
+    _check_grid(grid, "values" if target == "cdf" else "levels")
+    draws = _kept_draws(reps, grid, kind, scale_reference)
+    return _band(target, grid, reps._curves(grid)[0], kind, draws, alpha,
+                 reps.b_used, reps.redraws)
 
 
 def ucb_cdf_constant(reps: BootstrapReplicates, alpha: float,
@@ -475,22 +464,20 @@ def ucb_cdf_constant(reps: BootstrapReplicates, alpha: float,
     absolute deviation between the resampled and original CDF over the grid.
     The stored band is unclipped; display layers may clip to [0, 1].
     """
-    return _kept_band(reps, alpha, grid, _cdf_curves, "cdf", "two-sided-constant",
-                      reps.redraws)
+    return _kept_band(reps, alpha, grid, "cdf", "two-sided-constant")
 
 
 def ucb_cdf_variable(reps: BootstrapReplicates, alpha: float,
                      grid: Grid) -> BandResult:
     """Variable-width uniform band for the CDF over the value grid."""
-    return _kept_band(reps, alpha, grid, _cdf_curves, "cdf", "two-sided-variable",
-                      reps.redraws, iqr(reps.point_sorted))
+    return _kept_band(reps, alpha, grid, "cdf", "two-sided-variable",
+                      iqr(reps.point_sorted))
 
 
 def ucb_quantile_constant(reps: BootstrapReplicates, alpha: float,
                           grid: Grid) -> BandResult:
     """Constant-width uniform band for the quantile function over the level grid."""
-    return _kept_band(reps, alpha, grid, _quantile_curves, "quantile",
-                      "two-sided-constant", reps.redraws)
+    return _kept_band(reps, alpha, grid, "quantile", "two-sided-constant")
 
 
 def ucb_quantile_variable(reps: BootstrapReplicates, alpha: float,
@@ -501,8 +488,8 @@ def ucb_quantile_variable(reps: BootstrapReplicates, alpha: float,
     spread over the normal quartile spread, so the band narrows where the
     quantile is estimated more precisely.
     """
-    return _kept_band(reps, alpha, grid, _quantile_curves, "quantile",
-                      "two-sided-variable", reps.redraws, iqr(reps.point_sorted))
+    return _kept_band(reps, alpha, grid, "quantile", "two-sided-variable",
+                      iqr(reps.point_sorted))
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +518,16 @@ class TwoGroupReplicates(FrozenArrays):
         if pos >= len(self.levels) or self.levels[pos] != tau:
             raise ValueError(f"level {tau} was not evaluated by this replicate set")
         return pos
+
+    def _curves(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        """The difference and its replications over a level grid, kept; each
+        grid point must be an evaluated level."""
+        _check_grid(grid, "levels")
+
+        def build():
+            idx = [self.level_index(t) for t in grid.points]
+            return self.delta[idx], self.delta_boot[:, idx]
+        return _memo(self, grid, "curves", build)
 
 
 def two_group_quantile_replicates(sample0: Sample, sample1: Sample,
@@ -598,17 +595,6 @@ def compare_quantiles(reps: TwoGroupReplicates, alpha: float,
                            b_used=reps.b_used, redraws=reps.redraws))
 
 
-def _difference_curves(reps: TwoGroupReplicates,
-                       grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Quantile difference and its replications over a level grid."""
-    _check_grid(grid, "levels")
-
-    def build():
-        idx = [reps.level_index(t) for t in grid.points]
-        return reps.delta[idx], reps.delta_boot[:, idx]
-    return _memo(reps, grid, "curves", build)
-
-
 _BAND_KINDS = {"constant": "two-sided-constant", "variable": "two-sided-variable",
                "one-sided-lower": "one-sided-lower"}
 
@@ -622,8 +608,8 @@ def ucb_quantile_difference(reps: TwoGroupReplicates, alpha: float, grid: Grid, 
     """
     if band not in _BAND_KINDS:
         raise ValueError(f"unknown band selector {band!r}")
-    return _kept_band(reps, alpha, grid, _difference_curves, "quantile-difference",
-                      _BAND_KINDS[band], reps.redraws, reps.scale_reference)
+    return _kept_band(reps, alpha, grid, "quantile-difference", _BAND_KINDS[band],
+                      reps.scale_reference)
 
 
 _HYPOTHESES = ("equality", "location-shift", "dominance")
@@ -644,7 +630,7 @@ def test_distributions(reps: TwoGroupReplicates, alpha: float, grid: Grid,
     """
     if hypothesis not in _HYPOTHESES:
         raise ValueError(f"hypothesis must be one of {_HYPOTHESES}, got {hypothesis!r}")
-    delta, boot = _difference_curves(reps, grid)
+    delta, boot = reps._curves(grid)
     if hypothesis == "location-shift":
         centered = delta - delta.mean()
         statistic = float(np.max(np.abs(centered)))
@@ -655,7 +641,7 @@ def test_distributions(reps: TwoGroupReplicates, alpha: float, grid: Grid,
         # the one-sided band.
         equality = hypothesis == "equality"
         statistic = float(np.max(np.abs(delta) if equality else delta))
-        draws = _kept_draws(reps, grid, _difference_curves,
+        draws = _kept_draws(reps, grid,
                             "two-sided-constant" if equality else "one-sided-lower")
     critical = _critical_value(draws.sup, alpha)
     return TestResult(hypothesis=hypothesis, statistic=statistic,

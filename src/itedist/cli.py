@@ -266,6 +266,21 @@ def _warn_small_bootstrap(b: int, alpha: float) -> None:
                        b, 1.0 - alpha)
 
 
+def _flag_grid(resolved: dict, kind: str, default_size: int | None = None):
+    """The grid of ``kind`` over ``--tau-range`` (levels) or ``--v-range``
+    (values) with ``--grid-size`` points, or ``default_size`` when that is
+    unset.  Every grid a flag sets is built here, before the input is read,
+    so a range too narrow for its points is a config fault."""
+    flag = "tau-range" if kind == "levels" else "v-range"
+    lo, hi = resolved[flag]
+    size = resolved["grid-size"] or default_size
+    try:
+        return make_grid(kind, lo, hi, size)
+    except ValueError as exc:
+        raise ConfigError(f"--{flag}: cannot place --grid-size {size} points from {lo!r} "
+                          f"to {hi!r}: {exc}") from None
+
+
 def _column_map(resolved: dict) -> ColumnMap:
     return ColumnMap(outcome=resolved["outcome-col"],
                      treatment=resolved["treatment-col"],
@@ -341,6 +356,12 @@ def _write_document(document: ReportDocument, resolved: dict) -> None:
 
 def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
     _warn_small_bootstrap(resolved["bootstrap"], resolved["alpha"])
+    wanted = resolved["report"]
+    tau_grid = value_grid = None
+    if "bands" in wanted:
+        tau_grid = _flag_grid(resolved, "levels")
+        if resolved["v-range"] is not None:
+            value_grid = _flag_grid(resolved, "values")
 
     [(sample, bounds)] = _groups(resolved, {"group": "analyze"})
     cfg = BootstrapConfig(n_replications=resolved["bootstrap"], seed=resolved["seed"],
@@ -356,7 +377,6 @@ def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
         reproducibility=_repro_block("analyze", resolved))
     document.point_estimates["n"] = sample.n
 
-    wanted = resolved["report"]
     if "prob-positive" in wanted:
         document.point_estimates["prob_positive"] = prob_positive(values)
         document.add_interval(ci_prob_positive(replicates, alpha))
@@ -374,13 +394,10 @@ def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
             document.point_estimates[f"cdf@{v:g}"] = float(cdf_at(values, v))
             document.add_interval(ci_cdf(replicates, alpha, v))
     if "bands" in wanted:
-        tau_grid = make_grid("levels", *resolved["tau-range"], resolved["grid-size"])
         quantile_band = (ucb_quantile_constant if resolved["band"] == "constant"
                          else ucb_quantile_variable)
         document.add_band(quantile_band(replicates, alpha, tau_grid))
-        if resolved["v-range"] is not None:
-            value_grid = make_grid("values", *resolved["v-range"], resolved["grid-size"])
-        else:
+        if value_grid is None:
             try:
                 value_grid = default_value_grid(values, resolved["grid-size"])
             except ValueError as exc:
@@ -397,11 +414,11 @@ def cmd_analyze(resolved: dict, threads: int) -> ReportDocument:
 
 def cmd_compare(resolved: dict, threads: int) -> ReportDocument:
     _warn_small_bootstrap(resolved["bootstrap"], resolved["alpha"])
+    grid = _flag_grid(resolved, "levels")
 
     (sample0, bounds0), (sample1, bounds1) = _groups(
         resolved, {"group0": "group0", "group1": "group1"})
 
-    grid = make_grid("levels", *resolved["tau-range"], resolved["grid-size"])
     taus = [float(t) for t in resolved["tau"]]
     # Sorted and deduplicated by run starts: np.unique would load numpy.ma.
     levels = np.sort(np.concatenate((grid.points, taus, [0.25, 0.75])))
@@ -451,15 +468,13 @@ def _study_targets(resolved: dict) -> list:
         return [StudyTarget(kind, v) for v in resolved["v"]
                 for kind in ("cdf-ci", "cdf-ci-naive")]
     if study == "table2":
-        size = resolved["grid-size"] or 393
-        grid = make_grid("values", *resolved["v-range"], size)
+        grid = _flag_grid(resolved, "values", 393)
         return [StudyTarget(kind, grid) for kind in
                 ("cdf-band-constant", "cdf-band-variable", "cdf-band-interpolated")]
     if study == "table3":
         return [*(StudyTarget("quantile-ci", t) for t in resolved["tau"]),
                 StudyTarget("iqr-ci")]
-    size = resolved["grid-size"] or 91   # table4, the one study left
-    grid = make_grid("levels", *resolved["tau-range"], size)
+    grid = _flag_grid(resolved, "levels", 91)   # table4, the one study left
     return [StudyTarget(kind, grid)
             for kind in ("quantile-band-constant", "quantile-band-variable")]
 
@@ -470,7 +485,7 @@ def cmd_simulate(resolved: dict, threads: int) -> None:
 
     output = Path(resolved["output"])
     if resolved["study"] == "figure1":
-        grid = make_grid("levels", *resolved["tau-range"], resolved["grid-size"] or 81)
+        grid = _flag_grid(resolved, "levels", 81)
         write_variance_profile_csv(output, taus=grid.points)
         logger.info("variance profile written to %s", output)
         return

@@ -9,8 +9,10 @@ import pytest
 from scipy.stats import norm
 
 from itedist import (DgpOracle, Sample, StudyTarget, TheoryVariance,
-                     gaussian_diagnostic, generate, make_grid, naive_ci_cdf,
-                     run_coverage, theory_variance, true_ites)
+                     estimate_bounds, gaussian_diagnostic, generate, make_grid,
+                     naive_ci_cdf, order_statistics, pseudo_ites,
+                     quantile_variance_gap, run_coverage, theory_variance,
+                     true_ites)
 from itedist._rng import derive_stream
 from itedist.benchmark_sim import (GeneratedSample, write_coverage_csv,
                                    write_diagnostic_csv,
@@ -162,6 +164,25 @@ class TestGaussianDiagnostic:
             gaussian_diagnostic(0.5, n=100, reps=10, seed=0)
 
 
+class TestMonteCarloQuantiles:
+    def test_draws_are_the_quantiles_of_the_keyed_samples(self):
+        # Sample k of both studies comes from the stream keyed (seed, k).
+        n, reps, taus = 120, 35, (0.25, 0.5)
+        samples = [generate(n, derive_stream(35, k)) for k in range(reps)]
+        feasible = np.array([
+            order_statistics(np.sort(pseudo_ites(s.sample, estimate_bounds(s.sample)).values),
+                             taus) for s in samples])
+        infeasible = np.array([order_statistics(np.sort(true_ites(s)), taus)
+                               for s in samples])
+        for threads in (1, 3):
+            diag = gaussian_diagnostic(0.5, n=n, reps=reps, seed=35, threads=threads)
+            assert diag.estimates.tobytes() == feasible[:, 1].tobytes()
+        gap = quantile_variance_gap(taus, n=n, reps=reps, seed=35)
+        expected = n * feasible.var(axis=0, ddof=1) - n * infeasible.var(axis=0, ddof=1)
+        assert gap.gap == tuple(float(x) for x in expected)
+        assert gap.theory == tuple(theory_variance(t)[1] for t in taus)
+
+
 class TestRunCoverage:
     def test_deterministic_reports(self):
         targets = [StudyTarget("cdf-ci", 2.0),
@@ -177,8 +198,6 @@ class TestRunCoverage:
         assert len(reports) == 2
         for report in reports:
             assert 0.0 <= report.coverage <= 1.0
-            assert report.mc_se == pytest.approx(
-                np.sqrt(report.coverage * (1 - report.coverage) / report.reps))
             assert report.n == 120 and report.reps == 5
 
     def test_sample_with_an_empty_treatment_arm_counts_as_a_failure(self):

@@ -387,7 +387,7 @@ class TestIntervals:
         cfg = BootstrapConfig(n_replications=37, seed=5)
         reps = draw_replicates(gen.sample, bounds, cfg)
         q_int, iqr_int = ci_quantile_and_iqr(reps, 0.1, 0.5)
-        n = reps.n
+        n = reps.sorted_values.shape[1]
         stats = np.sort(reps.sorted_values[:, math.ceil(0.5 * n) - 1])
         assert q_int.lo == stats[math.ceil(37 * 0.05) - 1]
         assert q_int.hi == stats[math.ceil(37 * 0.95) - 1]
@@ -450,8 +450,9 @@ class TestBands:
         cfg = BootstrapConfig(n_replications=50, seed=10)
         reps = draw_replicates(gen.sample, bounds, cfg)
         band = ucb_quantile_constant(reps, 0.05, grid)
-        boot = reps.sorted_values[:, np.ceil(grid.points * reps.n).astype(int) - 1]
-        point = reps.point_sorted[np.ceil(grid.points * reps.n).astype(int) - 1]
+        ranks = np.ceil(grid.points * reps.sorted_values.shape[1]).astype(int)
+        boot = reps.sorted_values[:, ranks - 1]
+        point = reps.point_sorted[ranks - 1]
         for j in range(grid.size):
             pointwise = np.sort(np.abs(boot[:, j] - point[j]))[math.ceil(50 * 0.95) - 1]
             assert band.critical_value >= pointwise

@@ -569,7 +569,10 @@ class TestReproducibility:
     ("analyze", "report", "quantile,bogus"), ("simulate", "study", "tableX"),
     ("table2", "grid-size", "0"), ("table2", "grid-size", "1"),
     ("figure1", "tau-range", "0.9,0.1"), ("table2", "v-range", "3,1"),
-    ("table1", "n", "0"), ("table1", "levels", "0.9,1.5"), ("oracle", "y", "5")])
+    ("table1", "n", "0"), ("table1", "levels", "0.9,1.5"), ("oracle", "y", "5"),
+    ("table2", "v-range", "1,1.0000000000000002"),
+    ("table4", "tau-range", "0.5,0.5000000000000001"),
+    ("figure1", "tau-range", "0.5,0.5000000000000001")])
 def test_bad_value_is_one_config_error_from_flag_or_file(
         command, key, value, bench_csv, tmp_path, capsys, monkeypatch):
     # a flag value and a config-file value pass the same check, before any work
@@ -641,6 +644,24 @@ def test_non_finite_value_is_config_error(command, key, flag_value, file_value, 
     assert errors[0] == errors[1]
     err = json.loads(errors[0])
     assert err["error"] == "config" and err["message"].startswith(f"--{key}: must be finite")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    (["analyze", "--report", "bands"], "v-range", "1,1.0000000000000002"),
+    (["analyze", "--report", "bands"], "tau-range", "0.5,0.5000000000000002"),
+    (["compare", "--covariate-cols", "grp", "--group0", "grp=0", "--group1", "grp=1"],
+     "tau-range", "0.5,0.5000000000000002")])
+def test_range_too_narrow_for_its_grid_is_config_error_before_ingest(
+        command, key, value, bench_csv, tmp_path, capsys, monkeypatch):
+    # the grids are built before the input is read, not after the bootstrap
+    import itedist.cli
+    monkeypatch.setattr(itedist.cli, "ingest_csv", _unreachable)
+    assert run_cli(*command, "--input", str(bench_csv), f"--{key}", value,
+                   "--output", str(tmp_path / "out")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"--{key}: ") and "--grid-size 161" in err["message"]
     assert not (tmp_path / "out").exists()
 
 
